@@ -100,7 +100,6 @@ from .training import (
     TrainingHistory,
     average_histories,
     compare_against_labels,
-    compare_total_power,
     dataset_arrays,
     normalization_for,
     relative_error,
@@ -139,7 +138,7 @@ __all__ = [
     # training and evaluation
     "TrainingConfig", "TrainingHistory", "HistoryPoint",
     "ComparisonReport", "ComparisonRow", "SweepSpec", "SweepRun",
-    "train", "relative_error", "compare_total_power", "compare_against_labels",
+    "train", "relative_error", "compare_against_labels",
     "sweep", "average_histories", "normalization_for", "dataset_arrays",
     "write_history_csv", "write_comparison_csv",
     # errors

@@ -21,11 +21,13 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .data import Dataset, load_dataset, save_dataset, split
+from ._files import atomic_open
+from .data import load_dataset, save_dataset, split
 from .data import build_dataset
 from .errors import (
     InfeasibleProblemError,
@@ -158,11 +160,9 @@ def _write_manifest(path: str, command: str, opts: dict, artifacts: dict,
     }
     if extra:
         doc.update(extra)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def _manifest_path(opts: dict, primary_artifact: str) -> str:
@@ -373,11 +373,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             "evaluations": result.evaluations,
             "levels": result.levels,
         }
-        tmp = opts["out"] + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with atomic_open(opts["out"]) as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
-        os.replace(tmp, opts["out"])
         _write_manifest(
             _manifest_path(opts, opts["out"]), "solve", opts,
             {"result": opts["out"]}, started,
@@ -412,16 +410,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             f"(model {norm}, dataset {stored})"
         )
     if opts["limit"] is not None:
-        from dataclasses import replace as dc_replace
-
         k = int(opts["limit"])
         if not (0 < k <= len(dataset)):
             raise InvalidArgumentError(f"--limit must be in (0, {len(dataset)}]")
-        dataset = Dataset(
-            config=dataset.config,
-            gen=dc_replace(dataset.gen, count=k),
-            records=dataset.records[:k],
-        )
+        dataset = replace(dataset, gen=replace(dataset.gen, count=k), records=dataset.records[:k])
     report = compare_against_labels(params, dataset, repair=opts["repair"])
     write_comparison_csv(report, opts["out"])
     within = float(np.mean([abs(r.gap) <= 0.25 for r in report.rows]))

@@ -6,34 +6,43 @@ JSON lines: one header object holding the system configuration and the
 generation metadata, then one object per record. Floats are serialized
 with shortest round-trip precision, so save -> load is bit-exact;
 ``load_dataset`` re-validates every documented invariant and refuses
-files that fail any of them.
+files that fail any of them, reporting the first failing line. Feasibility
+filters and label re-checks take one batched outage call per dataset.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvariantViolationError, SchemaError
+from ._files import atomic_open
+from .errors import (
+    InfeasibleProblemError,
+    InvalidArgumentError,
+    InvariantViolationError,
+    SchemaError,
+)
 from .gridsearch import (
     OracleResult,
     PowerAllocation,
-    SubcarrierPower,
     SystemConfig,
-    _block_outage,
-    feasibility_check,
+    _cols,
+    _outage,
+    _outage_at_caps,
     solve,
 )
+# Not called here; perfbench/layers.py traces feasibility checks through this name.
+from .gridsearch import feasibility_check  # noqa: F401
 from .outage import SubcarrierStats
 
 DATASET_FORMAT = "relay-dataset-v1"
 
 _OUTAGE_RECHECK_TOL = 1e-12
+_MIN_DRAW_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -119,20 +128,28 @@ def draw_feasible_samples(
     seed: int,
 ) -> tuple[np.ndarray, int]:
     """Uniform draws filtered by feasibility at the caps; redraws until
-    ``count`` feasible samples exist. Returns (samples, rejected_count)."""
+    ``count`` feasible samples exist. Returns (samples, rejected_count).
+
+    Draws come in chunks from one generator, which yields the same values
+    as one draw at a time; rejections are counted up to the last kept draw.
+    """
     _check_range(range_lo, range_hi)
     if count < 1:
         raise InvalidArgumentError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     kept: list[np.ndarray] = []
+    need = count
     rejected = 0
-    while len(kept) < count:
-        v = rng.uniform(range_lo, range_hi, size=(4, config.t))
-        if feasibility_check(stats_from_sample(v), config).feasible:
-            kept.append(v)
+    while need > 0:
+        draws = rng.uniform(range_lo, range_hi, size=(max(2 * need, _MIN_DRAW_CHUNK), 4, config.t))
+        ok = np.flatnonzero(_outage_at_caps(draws, config) <= config.psi_th)[:need]
+        if len(ok) == need:
+            rejected += int(ok[-1]) + 1 - need
         else:
-            rejected += 1
-    return np.stack(kept), rejected
+            rejected += len(draws) - len(ok)
+        kept.append(draws[ok])
+        need -= len(ok)
+    return np.concatenate(kept), rejected
 
 
 def _label_one(args) -> OracleResult:
@@ -226,11 +243,10 @@ def build_dataset(
         if grid_levels is None:
             raise InvalidArgumentError("grid sampler needs grid_levels")
         lattice = generate_grid_samples(grid_levels, range_lo, range_hi, config.t)
-        keep = [
-            v for v in lattice if feasibility_check(stats_from_sample(v), config).feasible
-        ]
-        rejected = len(lattice) - len(keep)
-        samples = np.stack(keep)
+        samples = lattice[_outage_at_caps(lattice, config) <= config.psi_th]
+        if len(samples) == 0:
+            raise InfeasibleProblemError("no lattice point is feasible at the power caps")
+        rejected = len(lattice) - len(samples)
         gen = GenerationSpec(
             sampler="grid",
             range_lo=range_lo,
@@ -278,19 +294,6 @@ def split(dataset: Dataset, validation_count: int, seed: int) -> tuple[Dataset, 
     return train, val
 
 
-def _config_doc(config: SystemConfig) -> dict:
-    return {
-        "n": config.n,
-        "t": config.t,
-        "m": config.m,
-        "s": config.s,
-        "psi_th": config.psi_th,
-        "pt_max": config.pt_max,
-        "pr_max": config.pr_max,
-        "outage_mode": config.outage_mode,
-    }
-
-
 def _gen_doc(gen: GenerationSpec) -> dict:
     doc = {
         "sampler": gen.sampler,
@@ -311,11 +314,10 @@ def _gen_doc(gen: GenerationSpec) -> dict:
 
 def save_dataset(dataset: Dataset, path: str) -> None:
     """Header line then one JSON object per record; atomic replace."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         header = {
             "format": DATASET_FORMAT,
-            "config": _config_doc(dataset.config),
+            "config": asdict(dataset.config),
             "generation": _gen_doc(dataset.gen),
         }
         fh.write(json.dumps(header) + "\n")
@@ -329,7 +331,6 @@ def save_dataset(dataset: Dataset, path: str) -> None:
                 "evaluations": rec.evaluations,
             }
             fh.write(json.dumps(doc) + "\n")
-    os.replace(tmp, path)
 
 
 def load_dataset(path: str) -> Dataset:
@@ -360,30 +361,35 @@ def load_dataset(path: str) -> Dataset:
     records = []
     for lineno, ln in enumerate(body, start=2):
         try:
-            doc = json.loads(ln)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-        try:
-            sample = np.asarray(doc["v"], dtype=float)
-            label = PowerAllocation(pt=tuple(doc["pt"]), pr=tuple(doc["pr"]))
-            rec = DatasetRecord(
-                sample=sample,
-                label=label,
-                total_power=float(doc["total_power"]),
-                achieved_outage=float(doc["achieved_outage"]),
-                evaluations=int(doc["evaluations"]),
-            )
-        except (KeyError, TypeError, InvalidArgumentError) as exc:
-            raise SchemaError(f"{path}:{lineno}: malformed record: {exc}") from exc
-        _validate_record(rec, config, gen, path, lineno)
-        records.append(rec)
+            records.append(_read_record(ln, config, gen, path, lineno))
+        except Exception:
+            _check_outages(records, config, path)  # a fault on an earlier line wins
+            raise
+    _check_outages(records, config, path)
     return Dataset(config=config, gen=gen, records=tuple(records))
 
 
-def _validate_record(
-    rec: DatasetRecord, config: SystemConfig, gen: GenerationSpec, path: str, lineno: int
-) -> None:
-    expect_cols = config.t if config.outage_mode == "single-sap" else config.n
+def _read_record(
+    ln: str, config: SystemConfig, gen: GenerationSpec, path: str, lineno: int
+) -> DatasetRecord:
+    """Parse one record and run the checks that precede the outage re-check."""
+    try:
+        doc = json.loads(ln)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+    try:
+        sample = np.asarray(doc["v"], dtype=float)
+        label = PowerAllocation(pt=tuple(doc["pt"]), pr=tuple(doc["pr"]))
+        rec = DatasetRecord(
+            sample=sample,
+            label=label,
+            total_power=float(doc["total_power"]),
+            achieved_outage=float(doc["achieved_outage"]),
+            evaluations=int(doc["evaluations"]),
+        )
+    except (KeyError, TypeError, InvalidArgumentError) as exc:
+        raise SchemaError(f"{path}:{lineno}: malformed record: {exc}") from exc
+    expect_cols = _cols(config)
     if rec.sample.shape != (4, expect_cols):
         raise InvariantViolationError(
             f"{path}:{lineno}: sample shape {rec.sample.shape} != (4, {expect_cols})"
@@ -400,21 +406,34 @@ def _validate_record(
         np.asarray(rec.label.pr) > config.pr_max
     ).any():
         raise InvariantViolationError(f"{path}:{lineno}: label exceeds the power caps")
-    powers = [SubcarrierPower(pt=a, pr=b) for a, b in zip(rec.label.pt, rec.label.pr)]
-    outage = _block_outage(stats_from_sample(rec.sample), powers, config)
-    if abs(outage - rec.achieved_outage) > _OUTAGE_RECHECK_TOL:
-        raise InvariantViolationError(
-            f"{path}:{lineno}: stored achieved_outage {rec.achieved_outage} "
-            f"disagrees with recomputation {outage}"
-        )
-    if outage > config.psi_th:
-        raise InvariantViolationError(
-            f"{path}:{lineno}: label violates the outage cap "
-            f"({outage} > {config.psi_th})"
-        )
-    total = rec.label.total_power
-    if abs(total - rec.total_power) > 1e-9 * max(1.0, abs(total)):
-        raise InvariantViolationError(
-            f"{path}:{lineno}: stored total_power {rec.total_power} "
-            f"disagrees with the label sum {total}"
-        )
+    return rec
+
+
+def _check_outages(records: list[DatasetRecord], config: SystemConfig, path: str) -> None:
+    """Statistics validity, outage re-check, outage cap and label total, in
+    record order, with one outage call for all records."""
+    samples = np.array([rec.sample for rec in records]).reshape(len(records), 4, _cols(config))
+    bad_stats = ~(np.isfinite(samples) & (samples > 0)).all(axis=(1, 2))
+    valid = int(np.argmax(bad_stats)) if bad_stats.any() else len(records)
+    labels = np.array([(rec.label.pt, rec.label.pr) for rec in records[:valid]])
+    labels = labels.reshape(valid, 2, samples.shape[2])
+    outages = _outage(samples[:valid], labels[:, 0], labels[:, 1], config).tolist()
+    for lineno, rec, outage in zip(itertools.count(2), records, outages):
+        if abs(outage - rec.achieved_outage) > _OUTAGE_RECHECK_TOL:
+            raise InvariantViolationError(
+                f"{path}:{lineno}: stored achieved_outage {rec.achieved_outage} "
+                f"disagrees with recomputation {outage}"
+            )
+        if outage > config.psi_th:
+            raise InvariantViolationError(
+                f"{path}:{lineno}: label violates the outage cap "
+                f"({outage} > {config.psi_th})"
+            )
+        total = rec.label.total_power
+        if abs(total - rec.total_power) > 1e-9 * max(1.0, abs(total)):
+            raise InvariantViolationError(
+                f"{path}:{lineno}: stored total_power {rec.total_power} "
+                f"disagrees with the label sum {total}"
+            )
+    if valid < len(records):
+        stats_from_sample(records[valid].sample)  # raises SubcarrierStats' own error

@@ -19,7 +19,7 @@ Two searchers share one grid vocabulary and one tie-breaking rule:
   levels (the incumbent is a grid point of every level).
 
 * ``brute_force_reference``: single flat scan of the level-0 grid,
-  written as plain nested loops over scalar evaluations. With
+  written as plain nested loops, one outage evaluation per candidate. With
   ``max_levels=0`` and the same grid size, ``solve`` must match it
   bitwise; tests pin that.
 
@@ -28,6 +28,12 @@ lexicographically smallest vector (pt_1..pt_T, pr_1..pr_T) wins. Both
 searchers compute candidate totals with the same association,
 ``(pt_1 + pr_1) + (pt_2 + pr_2) + ...``, and the same feasibility
 predicate bits, so the rule is exact, not approximate.
+
+Every outage here (grid scan, feasibility gate, result re-check, batches
+of samples) is one call of the single batched kernel
+``outage._block_outage``; ``_scan`` puts each subcarrier's (pt, pr) pair
+grid on its own broadcast axis, so the closed form runs once per pair,
+not once per cell of the product grid.
 
 Evaluation accounting: one "evaluation" is one candidate power vector
 checked against the constraint. ``solve`` never exceeds
@@ -51,14 +57,9 @@ from .errors import (
     InvalidArgumentError,
     NumericConsistencyError,
 )
-from .outage import (
-    OutageQuery,
-    SubcarrierPower,
-    SubcarrierStats,
-    all_active_outage,
-    average_outage,
-    outage_grid,
-)
+from .outage import _block_outage
+# Not called here; perfbench/layers.py traces outage calls through these names.
+from .outage import all_active_outage, average_outage, outage_grid  # noqa: F401
 from .saps import enumerate_saps
 
 OUTAGE_MODES = ("single-sap", "sap-averaged")
@@ -152,94 +153,79 @@ def evaluation_budget(t: int, grid0: int, refine_points: int, levels: int) -> in
     return grid0 ** (2 * t) + levels * refine_points ** (2 * t)
 
 
-def _check_stats(stats, config: SystemConfig):
-    stats = tuple(stats)
-    if config.outage_mode == "single-sap":
-        if len(stats) != config.t:
-            raise InvalidArgumentError(
-                f"single-sap mode parameterizes the {config.t} active subcarriers, "
-                f"got {len(stats)} stats"
-            )
-    else:
-        if len(stats) != config.n:
-            raise InvalidArgumentError(
-                f"sap-averaged mode needs stats for all {config.n} subcarriers, "
-                f"got {len(stats)}"
-            )
-    return stats
+def _cols(config: SystemConfig) -> int:
+    """Statistics columns per sample: the active subcarriers, or all of them."""
+    return config.t if config.outage_mode == "single-sap" else config.n
 
 
-def _block_outage(stats, powers, config: SystemConfig) -> float:
-    """Scalar outage under the configured mode; the reference arithmetic."""
+def _check_cols(count: int, config: SystemConfig) -> None:
+    if count == _cols(config):
+        return
     if config.outage_mode == "single-sap":
-        return all_active_outage(stats, powers, config.s)
-    query = OutageQuery(
-        s=config.s,
-        stats=tuple(stats),
-        powers=tuple(powers),
-        sap_set=enumerate_saps(config.n, config.t),
+        raise InvalidArgumentError(
+            f"single-sap mode parameterizes the {config.t} active subcarriers, "
+            f"got {count} stats"
+        )
+    raise InvalidArgumentError(
+        f"sap-averaged mode needs stats for all {config.n} subcarriers, got {count}"
     )
-    return average_outage(query)
+
+
+def _stats_matrix(stats, config: SystemConfig) -> np.ndarray:
+    """The (4, cols) matrix of a SubcarrierStats sequence, rows (mu1, mu2, eta1, eta2)."""
+    stats = tuple(stats)
+    _check_cols(len(stats), config)
+    return np.array([[st.mu1, st.mu2, st.eta1, st.eta2] for st in stats], dtype=float).T
+
+
+def _patterns(config: SystemConfig):
+    """0-based active subcarriers of each pattern the outage averages over."""
+    if config.outage_mode == "single-sap":
+        return (range(config.t),)
+    return [[i - 1 for i in sap.indices] for sap in enumerate_saps(config.n, config.t).saps]
+
+
+def _outage(samples, pt, pr, config: SystemConfig) -> np.ndarray:
+    """Block outage of (..., 4, cols) statistic matrices under (..., cols) powers."""
+    return _block_outage(
+        np.moveaxis(samples, (-2, -1), (0, 1)),
+        np.moveaxis(np.asarray(pt, dtype=float), -1, 0),
+        np.moveaxis(np.asarray(pr, dtype=float), -1, 0),
+        config.s,
+        _patterns(config),
+    )
+
+
+def _outage_at_caps(samples, config: SystemConfig) -> np.ndarray:
+    """Block outage of (..., 4, cols) statistic matrices at the power caps."""
+    cols = np.shape(samples)[-1]
+    _check_cols(cols, config)
+    return _outage(samples, np.full(cols, config.pt_max), np.full(cols, config.pr_max), config)
 
 
 def feasibility_check(stats, config: SystemConfig) -> FeasibilityResult:
     """Can the outage target be met at the power caps?"""
-    stats = _check_stats(stats, config)
-    caps = [SubcarrierPower(pt=config.pt_max, pr=config.pr_max) for _ in stats]
-    outage = _block_outage(stats, caps, config)
+    outage = float(_outage_at_caps(_stats_matrix(stats, config), config))
     return FeasibilityResult(feasible=outage <= config.psi_th, outage=outage)
 
 
-def _pair_grids(stats, config, pt_axes, pr_axes):
-    """Per-subcarrier flattened (pt, pr) pair grids with q = 1 - Phi and totals.
-
-    Pair index k maps to (pt_axis[k // len(pr)], pr_axis[k % len(pr)]).
-    """
-    qs, totals = [], []
-    for st, gpt, gpr in zip(stats, pt_axes, pr_axes):
-        phi = outage_grid(st, gpt[:, None], gpr[None, :], config.s)
-        qs.append((1.0 - phi).reshape(-1))
-        totals.append((gpt[:, None] + gpr[None, :]).reshape(-1))
-    return qs, totals
-
-
-def _combine_outage(qs, config: SystemConfig):
-    """Block outage over the product of per-subcarrier pair grids.
-
-    Mirrors the scalar arithmetic of ``_block_outage`` operation for
-    operation so grid scans and scalar re-checks agree bitwise.
-    """
-    t_dims = len(qs)
-    shape = tuple(len(q) for q in qs)
-    if config.outage_mode == "single-sap":
-        prod = np.ones((1,) * t_dims)
-        for i, q in enumerate(qs):
-            prod = prod * q.reshape((1,) * i + (-1,) + (1,) * (t_dims - 1 - i))
-        return 1.0 - prod
-    sap_set = enumerate_saps(config.n, config.t)
-    acc = np.zeros(shape)
-    for sap in sap_set.saps:
-        prod = np.ones((1,) * t_dims)
-        for i in sap.indices:
-            j = i - 1
-            prod = prod * qs[j].reshape((1,) * j + (-1,) + (1,) * (t_dims - 1 - j))
-        acc = acc + (1.0 - prod)
-    return acc / sap_set.xi
-
-
-def _combine_totals(totals):
-    t_dims = len(totals)
-    acc = np.zeros((1,) * t_dims)
-    for i, tot in enumerate(totals):
-        acc = acc + tot.reshape((1,) * i + (-1,) + (1,) * (t_dims - 1 - i))
-    return acc
-
-
 def _scan(stats, config, pt_axes, pr_axes):
-    """One full grid scan; returns the best (total, vector) or None."""
-    qs, totals = _pair_grids(stats, config, pt_axes, pr_axes)
-    outage = _combine_outage(qs, config)
-    total = _combine_totals(totals)
+    """One full grid scan; returns the best (total, vector) or None.
+
+    Subcarrier i's flattened (pt, pr) pair grid lies along axis i; pair k
+    maps to (pt_axis[k // len(pr)], pr_axis[k % len(pr)]).
+    """
+    t_dims = len(pt_axes)
+    pt_grids, pr_grids = [], []
+    total = np.zeros((1,) * t_dims)
+    for i, (gpt, gpr) in enumerate(zip(pt_axes, pr_axes)):
+        axis = (1,) * i + (-1,) + (1,) * (t_dims - 1 - i)
+        pt = np.repeat(gpt, len(gpr)).reshape(axis)
+        pr = np.tile(gpr, len(gpt)).reshape(axis)
+        pt_grids.append(pt)
+        pr_grids.append(pr)
+        total = total + (pt + pr)
+    outage = _block_outage(stats, pt_grids, pr_grids, config.s, _patterns(config))
     feasible = outage <= config.psi_th
     if not feasible.any():
         return None
@@ -258,11 +244,18 @@ def _scan(stats, config, pt_axes, pr_axes):
     return float(mn), best_vec
 
 
+def _check_gate(stats: np.ndarray, config: SystemConfig) -> None:
+    outage = float(_outage_at_caps(stats, config))
+    if not outage <= config.psi_th:
+        raise InfeasibleProblemError(
+            f"outage at the power caps is {outage:.3e} > psi_th={config.psi_th:.3e}"
+        )
+
+
 def _result_from_vec(stats, config, total, vec, delta, evaluations, levels) -> OracleResult:
-    t_dims = len(stats)
+    t_dims = stats.shape[1]
     alloc = PowerAllocation(pt=tuple(vec[:t_dims]), pr=tuple(vec[t_dims:]))
-    powers = [SubcarrierPower(pt=a, pr=b) for a, b in zip(alloc.pt, alloc.pr)]
-    achieved = _block_outage(stats, powers, config)
+    achieved = float(_outage(stats, alloc.pt, alloc.pr, config))
     return OracleResult(
         allocation=alloc,
         total_power=total,
@@ -293,7 +286,7 @@ def solve(
     grid, which makes the result comparable bitwise with
     ``brute_force_reference`` at the same grid size.
     """
-    stats = _check_stats(stats, config)
+    stats = _stats_matrix(stats, config)
     if not (0 < delta < 1):
         raise InvalidArgumentError(f"delta must be in (0, 1), got {delta!r}")
     if refine_points < 3 or refine_points % 2 == 0:
@@ -303,13 +296,9 @@ def solve(
         )
     if not (0 < shrink < 1):
         raise InvalidArgumentError(f"shrink must be in (0, 1), got {shrink!r}")
-    gate = feasibility_check(stats, config)
-    if not gate.feasible:
-        raise InfeasibleProblemError(
-            f"outage at the power caps is {gate.outage:.3e} > psi_th={config.psi_th:.3e}"
-        )
+    _check_gate(stats, config)
 
-    t_dims = len(stats)
+    t_dims = stats.shape[1]
     caps = [config.pt_max] * t_dims + [config.pr_max] * t_dims
     pt_axes = [power_axis_grid(config.pt_max, grid0) for _ in range(t_dims)]
     pr_axes = [power_axis_grid(config.pr_max, grid0) for _ in range(t_dims)]
@@ -361,22 +350,18 @@ def solve(
 
 
 def brute_force_reference(stats, config: SystemConfig, grid_points_per_axis: int) -> OracleResult:
-    """Flat single-level scan of the level-0 grid, written independently.
+    """Flat single-level scan of the level-0 grid, written independently of ``solve``.
 
-    Plain nested loops over scalar outage evaluations; intended as the
+    Plain nested loops, one outage evaluation per candidate; intended as the
     ground truth for ``solve(..., max_levels=0)`` at the same grid size.
     """
-    stats = _check_stats(stats, config)
+    stats = _stats_matrix(stats, config)
     if grid_points_per_axis > 12:
         raise BudgetExceededError(
             f"{grid_points_per_axis} points per axis exceeds the flat-scan cap of 12"
         )
-    gate = feasibility_check(stats, config)
-    if not gate.feasible:
-        raise InfeasibleProblemError(
-            f"outage at the power caps is {gate.outage:.3e} > psi_th={config.psi_th:.3e}"
-        )
-    t_dims = len(stats)
+    _check_gate(stats, config)
+    t_dims = stats.shape[1]
     pt_axis = power_axis_grid(config.pt_max, grid_points_per_axis)
     pr_axis = power_axis_grid(config.pr_max, grid_points_per_axis)
     pairs = [(float(a), float(b)) for a in pt_axis for b in pr_axis]
@@ -384,8 +369,7 @@ def brute_force_reference(stats, config: SystemConfig, grid_points_per_axis: int
     evaluations = 0
     for combo in itertools.product(pairs, repeat=t_dims):
         evaluations += 1
-        powers = [SubcarrierPower(pt=a, pr=b) for a, b in combo]
-        outage = _block_outage(stats, powers, config)
+        outage = _outage(stats, [a for a, _ in combo], [b for _, b in combo], config)
         if outage <= config.psi_th:
             total = 0.0
             for a, b in combo:

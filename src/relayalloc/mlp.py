@@ -32,11 +32,11 @@ counts the same quantities at run time.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._files import atomic_open
 from .errors import InvalidArgumentError, SchemaError
 from .gridsearch import PowerAllocation
 
@@ -341,11 +341,9 @@ def save_model(params: MlpParams, normalization: NormalizationSpec, path: str) -
         "weights": [[float(x) for x in w.reshape(-1)] for w in params.weights],
         "biases": [[float(x) for x in b] for b in params.biases],
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def load_model(path: str) -> tuple[MlpParams, NormalizationSpec]:

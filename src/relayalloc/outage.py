@@ -20,13 +20,19 @@ evaluated here in the exponentially scaled form
 which neither underflows nor overflows for any positive arguments; the
 bracket tends to 1 as z -> 0, so eta2 -> 0 and large-power limits are exact.
 
-A block of T active subcarriers is in outage when any of them is; averaging
+A block of active subcarriers is in outage when any of them is; averaging
 that over the legitimate activation patterns gives the pattern-averaged
-outage. A seeded Monte-Carlo estimator provides the independent check.
+outage. Both live in one batched kernel, ``_block_outage``: per-subcarrier
+statistics and powers broadcast to any batch shape, so a single call
+covers a grid scan, a whole dataset or one allocation. The solver, the
+dataset checks, the comparison and the repair call it directly; the
+scalar functions below are thin calls into it. A seeded Monte-Carlo
+estimator provides the independent check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,6 +132,62 @@ def _clamp_probability(p):
     return np.clip(arr, 0.0, 1.0)
 
 
+def _phi(mu1, mu2, eta1, eta2, pt, pr, s: float) -> np.ndarray:
+    """Phi(s) elementwise over equal-length flat arrays (zero power -> 1)."""
+    out = np.ones(pt.shape)
+    on = (pt > 0) & (pr > 0)
+    if on.any():
+        m1, m2, e1, e2, ptv, prv = (x[on] for x in (mu1, mu2, eta1, eta2, pt, pr))
+        b = s * e1 / (m1 * ptv)
+        a = s * e2 / (m1 * m2 * ptv * prv)
+        z = 2.0 * np.sqrt(a)
+        out[on] = 1.0 - xk1e(z) * np.exp(-(z + b))
+    return _clamp_probability(out)
+
+
+def _block_outage(stats, pt, pr, s: float, patterns) -> np.ndarray:
+    """Batched block outage averaged over activation patterns.
+
+    ``stats[k][j]`` is statistic k (mu1, mu2, eta1, eta2) of subcarrier j
+    and ``pt[j]``, ``pr[j]`` are its powers; each is a scalar or an array.
+    Subcarrier j's inputs broadcast to its own shape, and those shapes
+    broadcast to the batch shape, so a grid scan can give every subcarrier
+    its own axis without materializing the product grid. The closed form
+    runs once over all subcarriers. ``patterns`` lists the 0-based active
+    subcarriers of each pattern.
+    """
+    if len(pt) == 0:
+        return _combine([], patterns)
+    inputs = [(*(row[j] for row in stats), pt[j], pr[j]) for j in range(len(pt))]
+    shapes = [np.broadcast_shapes(*map(np.shape, args)) for args in inputs]
+    flat = [
+        [np.broadcast_to(x, shape).reshape(-1) for x in args]
+        for args, shape in zip(inputs, shapes)
+    ]
+    phi = _phi(*(np.concatenate(column) for column in zip(*flat)), s)
+    ends = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+    q = [(1.0 - part).reshape(shape) for part, shape in zip(np.split(phi, ends), shapes)]
+    return _combine(q, patterns)
+
+
+def _combine(q, patterns) -> np.ndarray:
+    """Mean over patterns of 1 - prod_(j in pattern) q_j, with q_j = 1 - Phi_j.
+
+    The only place the block combination is computed.
+    """
+    shape = np.broadcast_shapes(*(np.shape(x) for x in q))
+    total = None
+    for pattern in patterns:
+        prod = 1.0
+        for j in pattern:
+            prod = prod * q[j]
+        term = 1.0 - prod
+        total = term if total is None else total + term
+    if len(patterns) > 1:
+        total = total / len(patterns)
+    return _clamp_probability(np.broadcast_to(total, shape)).reshape(shape)
+
+
 def outage_grid(stats: SubcarrierStats, pt, pr, s: float) -> np.ndarray:
     """Vectorized Phi(s) over broadcastable power arrays (zero power -> 1)."""
     _check_s(s)
@@ -134,19 +196,8 @@ def outage_grid(stats: SubcarrierStats, pt, pr, s: float) -> np.ndarray:
     if (pt < 0).any() or (pr < 0).any():
         raise InvalidArgumentError("powers must be >= 0")
     shape = np.broadcast(pt, pr).shape
-    pt_b, pr_b = np.broadcast_arrays(np.atleast_1d(pt), np.atleast_1d(pr))
-    pt_b = pt_b.reshape(-1)
-    pr_b = pr_b.reshape(-1)
-    out = np.ones(pt_b.shape, dtype=float)
-    on = (pt_b > 0) & (pr_b > 0)
-    if on.any():
-        ptv = pt_b[on]
-        prv = pr_b[on]
-        b = s * stats.eta1 / (stats.mu1 * ptv)
-        a = s * stats.eta2 / (stats.mu1 * stats.mu2 * ptv * prv)
-        z = 2.0 * np.sqrt(a)
-        out[on] = 1.0 - xk1e(z) * np.exp(-(z + b))
-    return _clamp_probability(out).reshape(shape)
+    args = (stats.mu1, stats.mu2, stats.eta1, stats.eta2, pt, pr)
+    return _phi(*(np.broadcast_to(x, shape).reshape(-1) for x in args), s).reshape(shape)
 
 
 def subcarrier_outage(stats: SubcarrierStats, power: SubcarrierPower, s: float) -> float:
@@ -156,19 +207,23 @@ def subcarrier_outage(stats: SubcarrierStats, power: SubcarrierPower, s: float) 
 
 def combine_active_outages(phis) -> float:
     """Block outage 1 - prod_i (1 - phi_i) over the active subcarriers."""
-    q = 1.0
-    for phi in phis:
-        q *= 1.0 - phi
-    return float(_clamp_probability(1.0 - q)[0])
+    q = [1.0 - phi for phi in phis]
+    return float(_combine(q, (range(len(q)),)))
+
+
+def _one_block(stats, powers, s: float, patterns) -> float:
+    if stats:
+        _check_s(s)
+    rows = [[getattr(st, name) for st in stats] for name in ("mu1", "mu2", "eta1", "eta2")]
+    pt, pr = [pw.pt for pw in powers], [pw.pr for pw in powers]
+    return float(_block_outage(rows, pt, pr, s, patterns))
 
 
 def all_active_outage(stats, powers, s: float) -> float:
     """Block outage with every listed subcarrier active."""
     if len(stats) != len(powers):
         raise InvalidArgumentError("stats and powers lengths differ")
-    return combine_active_outages(
-        subcarrier_outage(st, pw, s) for st, pw in zip(stats, powers)
-    )
+    return _one_block(stats, powers, s, (range(len(stats)),))
 
 
 def average_outage(query: OutageQuery) -> float:
@@ -177,11 +232,8 @@ def average_outage(query: OutageQuery) -> float:
     For each pattern the block is in outage when any active subcarrier is;
     inactive subcarriers do not contribute.
     """
-    phi = [subcarrier_outage(st, pw, query.s) for st, pw in zip(query.stats, query.powers)]
-    total = 0.0
-    for sap in query.sap_set.saps:
-        total += combine_active_outages(phi[i - 1] for i in sap.indices)
-    return float(_clamp_probability(total / query.sap_set.xi)[0])
+    patterns = [[i - 1 for i in sap.indices] for sap in query.sap_set.saps]
+    return _one_block(query.stats, query.powers, query.s, patterns)
 
 
 def monte_carlo_outage(

@@ -8,6 +8,9 @@ predictions and oracle labels, both in original power units:
 Records containing an exact-zero label entry are excluded from E with a
 counted warning (division); they only arise at psi_th = 1 where the
 all-zero allocation is optimal.
+
+The oracle comparison checks all network allocations in one outage call,
+and the scale-up repair bisects all violating records in lock step.
 """
 
 from __future__ import annotations
@@ -15,19 +18,14 @@ from __future__ import annotations
 import csv
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, stats_from_sample
+from ._files import atomic_open
+from .data import Dataset
 from .errors import InvalidArgumentError, NonFiniteLossError
-from .gridsearch import (
-    PowerAllocation,
-    SubcarrierPower,
-    SystemConfig,
-    _block_outage,
-    solve,
-)
+from .gridsearch import PowerAllocation, SystemConfig, _cols, _outage
 from .mlp import (
     Batch,
     MlpParams,
@@ -218,99 +216,42 @@ def _relative_gap(ann_total: float, oracle_total: float) -> float:
     return (ann_total - oracle_total) / oracle_total
 
 
-def _scale_up_repair(
-    alloc: PowerAllocation, stats, config: SystemConfig
-) -> PowerAllocation:
-    """Smallest common factor >= 1 restoring feasibility, capped at the box."""
-    def scaled(c: float) -> PowerAllocation:
-        return PowerAllocation(
-            pt=tuple(min(p * c, config.pt_max) for p in alloc.pt),
-            pr=tuple(min(p * c, config.pr_max) for p in alloc.pr),
-        )
-
-    def outage_of(a: PowerAllocation) -> float:
-        powers = [SubcarrierPower(pt=p, pr=r) for p, r in zip(a.pt, a.pr)]
-        return _block_outage(stats, powers, config)
-
-    positive = [p for p in (*alloc.pt, *alloc.pr) if p > 0]
-    if not positive:
-        return alloc
-    c_hi = max(config.pt_max, config.pr_max) / min(positive)
-    if outage_of(scaled(c_hi)) > config.psi_th:
-        return alloc  # not repairable inside the box
-    lo, hi = 1.0, c_hi
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if outage_of(scaled(mid)) <= config.psi_th:
-            hi = mid
-        else:
-            lo = mid
-    return scaled(hi)
+_REPAIR_STEPS = 80
 
 
-def compare_total_power(
-    params: MlpParams,
-    samples: np.ndarray,
-    config: SystemConfig,
-    delta: float,
-    *,
-    norm: NormalizationSpec | None = None,
-    repair: str | None = None,
-    solver_kwargs: dict | None = None,
-) -> ComparisonReport:
-    """Network allocation vs fresh grid-search optimum per sample.
+def _scale_up_repair(vec: np.ndarray, samples: np.ndarray, config: SystemConfig):
+    """Smallest common factor >= 1 restoring feasibility, capped at the box.
 
-    gap = (ann_total - oracle_total) / oracle_total. ``repair='scale-up'``
-    (not part of the reference pipeline; flagged in the report) scales
-    infeasible network allocations up to the feasibility boundary first.
+    ``vec`` holds one allocation (pt_1..pt_T, pr_1..pr_T) per row for the
+    statistic matrices ``samples`` (K, 4, T). All rows bisect in lock step,
+    one outage call per step. Returns the indices of the repaired rows and
+    their new allocations; rows with no positive power, or still infeasible
+    at the largest factor inside the box, are left out.
     """
-    if repair not in (None, "scale-up"):
-        raise InvalidArgumentError(f"unknown repair mode {repair!r}")
-    samples = np.asarray(samples, dtype=float)
-    if norm is None:
-        norm = NormalizationSpec(
-            range_hi=5.0, pt_max=config.pt_max, pr_max=config.pr_max
-        )
-    rows = []
-    for i, v in enumerate(samples):
-        stats = stats_from_sample(v)
-        raw = forward(params, encode_input(v, norm.range_hi))
-        alloc = decode_output(raw, norm.pt_max, norm.pr_max)
-        repaired = False
-        outage = _block_outage(
-            stats,
-            [SubcarrierPower(pt=p, pr=r) for p, r in zip(alloc.pt, alloc.pr)],
-            config,
-        )
-        if repair == "scale-up" and outage > config.psi_th:
-            fixed = _scale_up_repair(alloc, stats, config)
-            if fixed is not alloc:
-                repaired = True
-                alloc = fixed
-                outage = _block_outage(
-                    stats,
-                    [SubcarrierPower(pt=p, pr=r) for p, r in zip(alloc.pt, alloc.pr)],
-                    config,
-                )
-        oracle = solve(stats, config, delta, **(solver_kwargs or {}))
-        ann_total = alloc.total_power
-        rows.append(
-            ComparisonRow(
-                sample_id=i,
-                ann_total=ann_total,
-                oracle_total=oracle.total_power,
-                gap=_relative_gap(ann_total, oracle.total_power),
-                ann_outage=outage,
-                violated=outage > config.psi_th,
-                repaired=repaired,
-            )
-        )
-    return ComparisonReport(
-        rows=tuple(rows),
-        mean_gap=float(np.mean([r.gap for r in rows])),
-        violation_rate=float(np.mean([r.violated for r in rows])),
-        repair=repair,
-    )
+    cols = samples.shape[2]
+    box = np.repeat([config.pt_max, config.pr_max], cols)
+
+    def scaled(rows, c):
+        return np.minimum(vec[rows] * c[:, None], box)
+
+    def fits(rows, c):
+        v = scaled(rows, c)
+        return _outage(samples[rows], v[:, :cols], v[:, cols:], config) <= config.psi_th
+
+    smallest = np.where(vec > 0, vec, np.inf).min(axis=1, initial=np.inf)
+    rows = np.flatnonzero(np.isfinite(smallest))
+    hi = max(config.pt_max, config.pr_max) / smallest[rows]
+    ok = fits(rows, hi)
+    rows, hi = rows[ok], hi[ok]
+    if len(rows) == 0:
+        return rows, vec[rows]
+    lo = np.ones(len(rows))
+    for _ in range(_REPAIR_STEPS):
+        mid = 0.5 * (lo + hi)
+        ok = fits(rows, mid)
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid)
+    return rows, scaled(rows, hi)
 
 
 def compare_against_labels(
@@ -319,47 +260,50 @@ def compare_against_labels(
     *,
     repair: str | None = None,
 ) -> ComparisonReport:
-    """Like compare_total_power, but the dataset's labels are the oracle.
+    """Network allocation vs the dataset's oracle label, per record.
 
-    The labels were produced by the same deterministic search, so this is
-    equivalent to re-solving each sample and much cheaper.
+    gap = (ann_total - oracle_total) / oracle_total. The labels come from
+    the deterministic search, so they stand in for re-solving each sample.
+    ``repair='scale-up'`` (not part of the reference pipeline; flagged in
+    the report) scales infeasible network allocations up to the
+    feasibility boundary first.
     """
     if repair not in (None, "scale-up"):
         raise InvalidArgumentError(f"unknown repair mode {repair!r}")
     norm = normalization_for(dataset)
     config = dataset.config
-    rows = []
-    for i, rec in enumerate(dataset.records):
-        stats = stats_from_sample(rec.sample)
-        raw = forward(params, encode_input(rec.sample, norm.range_hi))
-        alloc = decode_output(raw, norm.pt_max, norm.pr_max)
-        repaired = False
-        outage = _block_outage(
-            stats,
-            [SubcarrierPower(pt=p, pr=r) for p, r in zip(alloc.pt, alloc.pr)],
-            config,
+    records = dataset.records
+    allocs = [
+        decode_output(
+            forward(params, encode_input(rec.sample, norm.range_hi)), norm.pt_max, norm.pr_max
         )
-        if repair == "scale-up" and outage > config.psi_th:
-            fixed = _scale_up_repair(alloc, stats, config)
-            if fixed is not alloc:
-                repaired = True
-                alloc = fixed
-                outage = _block_outage(
-                    stats,
-                    [SubcarrierPower(pt=p, pr=r) for p, r in zip(alloc.pt, alloc.pr)],
-                    config,
-                )
-        oracle_total = rec.total_power
-        ann_total = alloc.total_power
+        for rec in records
+    ]
+    cols = _cols(config)
+    samples = np.array([rec.sample for rec in records]).reshape(len(records), 4, cols)
+    vec = np.array([a.as_vector() for a in allocs]).reshape(len(records), 2 * cols)
+    outage = _outage(samples, vec[:, :cols], vec[:, cols:], config)
+    repaired = np.zeros(len(records), dtype=bool)
+    bad = np.flatnonzero(outage > config.psi_th)
+    if repair == "scale-up" and len(bad):
+        fixed, new = _scale_up_repair(vec[bad], samples[bad], config)
+        rows = bad[fixed]
+        outage[rows] = _outage(samples[rows], new[:, :cols], new[:, cols:], config)
+        repaired[rows] = True
+        for i, v in zip(rows, new.tolist()):
+            allocs[i] = PowerAllocation(pt=tuple(v[:cols]), pr=tuple(v[cols:]))
+    rows = []
+    for i, (rec, alloc) in enumerate(zip(records, allocs)):
+        ann_outage = float(outage[i])
         rows.append(
             ComparisonRow(
                 sample_id=i,
-                ann_total=ann_total,
-                oracle_total=oracle_total,
-                gap=_relative_gap(ann_total, oracle_total),
-                ann_outage=outage,
-                violated=outage > config.psi_th,
-                repaired=repaired,
+                ann_total=alloc.total_power,
+                oracle_total=rec.total_power,
+                gap=_relative_gap(alloc.total_power, rec.total_power),
+                ann_outage=ann_outage,
+                violated=ann_outage > config.psi_th,
+                repaired=bool(repaired[i]),
             )
         )
     return ComparisonReport(
@@ -435,16 +379,7 @@ def sweep(
             config = system
         else:
             hidden = [spec.neurons] * spec.hidden_layers
-            config = SystemConfig(
-                n=system.n,
-                t=system.t,
-                m=system.m,
-                s=system.s,
-                psi_th=float(value),
-                pt_max=system.pt_max,
-                pr_max=system.pr_max,
-                outage_mode=system.outage_mode,
-            )
+            config = replace(system, psi_th=float(value))
         dims = [4 * config.t, *hidden, 2 * config.t]
         for rep in range(spec.repeats):
             seeds = {
@@ -464,16 +399,7 @@ def sweep(
             )
             train_set, val_set = split_dataset(dataset, spec.validation_count, seeds["split"])
             params = init_mlp(dims, seeds["init"])
-            run_training = TrainingConfig(
-                epochs=training.epochs,
-                batch_size=training.batch_size,
-                step_size=training.step_size,
-                beta1=training.beta1,
-                beta2=training.beta2,
-                epsilon=training.epsilon,
-                shuffle_seed=seeds["shuffle"],
-                snapshot_every=training.snapshot_every,
-            )
+            run_training = replace(training, shuffle_seed=seeds["shuffle"])
             params, history = train(params, train_set, run_training, validation=val_set)
             runs.append(
                 SweepRun(
@@ -511,7 +437,7 @@ def average_histories(histories: list[TrainingHistory]) -> TrainingHistory:
 
 
 def write_history_csv(history: TrainingHistory, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(HISTORY_CSV_HEADER)
         for p in history.points:
@@ -519,7 +445,7 @@ def write_history_csv(history: TrainingHistory, path: str) -> None:
 
 
 def write_comparison_csv(report: ComparisonReport, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(COMPARISON_CSV_HEADER)
         for r in report.rows:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -276,3 +277,85 @@ def test_grid_sampler_through_build_dataset():
         build_dataset(CFG, 0, 0.5, 5.0, 0, 1e-2, sampler="grid")
     with pytest.raises(InvalidArgumentError):
         build_dataset(CFG, 1, 0.5, 5.0, 0, 1e-2, sampler="other")
+
+
+def draw_one_at_a_time(count, range_lo, range_hi, config, seed):
+    """Reference: one (4, t) draw and one scalar feasibility check at a time."""
+    rng = np.random.default_rng(seed)
+    kept, rejected = [], 0
+    while len(kept) < count:
+        v = rng.uniform(range_lo, range_hi, size=(4, config.t))
+        if feasibility_check(stats_from_sample(v), config).feasible:
+            kept.append(v)
+        else:
+            rejected += 1
+    return np.stack(kept), rejected
+
+
+@pytest.mark.parametrize(
+    "config, count, range_lo, range_hi",
+    [
+        (SystemConfig(), 100, 0.5, 5.0),  # nothing rejected
+        (SystemConfig(psi_th=1e-3), 60, 0.05, 1.0),  # a few rejected
+        (SystemConfig(n=2, t=1, psi_th=1e-2, pt_max=20.0, pr_max=20.0), 20, 0.5, 5.0),  # most
+        (SystemConfig(n=3, t=3, psi_th=1e-3), 25, 0.1, 3.0),
+    ],
+)
+def test_chunked_draws_match_one_at_a_time(config, count, range_lo, range_hi):
+    for seed in (1, 2, 3):
+        samples, rejected = draw_feasible_samples(count, range_lo, range_hi, config, seed)
+        ref, ref_rejected = draw_one_at_a_time(count, range_lo, range_hi, config, seed)
+        assert samples.tobytes() == ref.tobytes()
+        assert samples.shape == ref.shape
+        assert rejected == ref_rejected
+
+
+def corrupt_records(tmp_path, edits):
+    """Apply field edits {line number: (field, value)} to a saved dataset."""
+    dataset = tiny_dataset(count=4, seed=47)
+    path = tmp_path / "data.jsonl"
+    save_dataset(dataset, str(path))
+    lines = path.read_text().splitlines()
+    for lineno, (field, value) in edits.items():
+        doc = json.loads(lines[lineno - 1])
+        doc[field] = value
+        lines[lineno - 1] = json.dumps(doc)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    return str(bad)
+
+
+@pytest.mark.parametrize(
+    "edits, exc, first",
+    [
+        # outage re-check on line 2 precedes a range escape on line 3
+        ({2: ("achieved_outage", 0.5), 3: ("v", [[99.0], [1.0], [1.0], [1.0]])},
+         InvariantViolationError, 2),
+        # range escape on line 2 precedes an outage re-check on line 3
+        ({2: ("v", [[99.0], [1.0], [1.0], [1.0]]), 3: ("achieved_outage", 0.5)},
+         InvariantViolationError, 2),
+        # a bad total on line 3 precedes a malformed record on line 5
+        ({3: ("total_power", 1.0), 5: ("pt", [-1.0])}, InvariantViolationError, 3),
+        # a malformed record on line 3 precedes a bad total on line 4
+        ({3: ("pt", [-1.0]), 4: ("total_power", 1.0)}, SchemaError, 3),
+        # an infeasible label on line 4 precedes a bad total on line 5
+        ({4: ("pt", [0.0]), 5: ("total_power", 1.0)}, InvariantViolationError, 4),
+    ],
+)
+def test_load_reports_the_first_corrupt_record(tmp_path, edits, exc, first):
+    path = corrupt_records(tmp_path, edits)
+    with pytest.raises(exc, match=f"^{re.escape(path)}:{first}: "):
+        load_dataset(path)
+
+
+def test_load_rejects_non_finite_statistics_before_later_faults(tmp_path):
+    path = corrupt_records(
+        tmp_path, {3: ("v", [[float("nan")], [1.0], [1.0], [1.0]]), 4: ("total_power", 1.0)}
+    )
+    with pytest.raises(InvalidArgumentError, match="mu1 must be finite and > 0"):
+        load_dataset(path)
+    path = corrupt_records(
+        tmp_path, {2: ("total_power", 1.0), 3: ("v", [[float("nan")], [1.0], [1.0], [1.0]])}
+    )
+    with pytest.raises(InvariantViolationError, match=":2: stored total_power"):
+        load_dataset(path)

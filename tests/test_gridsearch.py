@@ -8,13 +8,13 @@ from relayalloc import (
     SubcarrierPower,
     SubcarrierStats,
     SystemConfig,
+    all_active_outage,
     brute_force_reference,
     evaluation_budget,
     feasibility_check,
     power_axis_grid,
     solve,
 )
-from relayalloc.gridsearch import _block_outage
 
 UNIT = SubcarrierStats(mu1=1.0, mu2=1.0, eta1=1.0, eta2=1.0)
 
@@ -136,7 +136,7 @@ def test_identical_subcarriers_tie_break():
     assert vec <= swapped
     powers = [SubcarrierPower(pt=swapped[0], pr=swapped[2]),
               SubcarrierPower(pt=swapped[1], pr=swapped[3])]
-    assert _block_outage([UNIT, UNIT], powers, config) <= config.psi_th
+    assert all_active_outage([UNIT, UNIT], powers, config.s) <= config.psi_th
 
 
 def test_reordering_subcarriers_reorders_the_solution():
@@ -151,7 +151,7 @@ def test_reordering_subcarriers_reorders_the_solution():
         SubcarrierPower(pt=fwd.allocation.pt[1], pr=fwd.allocation.pr[1]),
         SubcarrierPower(pt=fwd.allocation.pt[0], pr=fwd.allocation.pr[0]),
     ]
-    assert _block_outage([b, a], powers, config) <= config.psi_th
+    assert all_active_outage([b, a], powers, config.s) <= config.psi_th
 
 
 def test_trivial_threshold_allows_zero_power():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relayalloc import (
     InvalidArgumentError,
@@ -186,3 +188,50 @@ def test_clamp_rejects_gross_probability_escapes():
     assert _clamp_probability(-1e-13)[0] == 0.0
     with pytest.raises(NumericConsistencyError):
         _clamp_probability(1.5)
+
+
+# Hypothesis properties. The block outage is monotone in every power in
+# exact arithmetic; the computed value may rise by rounding alone, which
+# stays at a few units in the last place of a probability.
+_ROUNDING = 1e-15
+_stat = st.floats(0.05, 10.0)
+_power = st.one_of(st.just(0.0), st.floats(1e-3, 5000.0))
+
+
+@st.composite
+def _blocks(draw, n):
+    stats = [SubcarrierStats(*(draw(_stat) for _ in range(4))) for _ in range(n)]
+    powers = [SubcarrierPower(pt=draw(_power), pr=draw(_power)) for _ in range(n)]
+    return stats, powers
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    block=_blocks(4),
+    t=st.integers(1, 4),
+    j=st.integers(0, 3),
+    which=st.sampled_from(["pt", "pr"]),
+    factor=st.floats(1.0, 100.0),
+    s=st.floats(0.1, 8.0),
+)
+def test_outage_never_increases_with_power(block, t, j, which, factor, s):
+    stats, powers = block
+    old = powers[j]
+    more = SubcarrierPower(
+        pt=old.pt * factor if which == "pt" else old.pt,
+        pr=old.pr * factor if which == "pr" else old.pr,
+    )
+    raised = [*powers[:j], more, *powers[j + 1:]]
+    # single-sap: the first t subcarriers are the active ones
+    if j < t:
+        assert all_active_outage(stats[:t], raised[:t], s) <= (
+            all_active_outage(stats[:t], powers[:t], s) + _ROUNDING
+        )
+    sap_set = enumerate_saps(4, t)
+
+    def averaged(pw):
+        return average_outage(
+            OutageQuery(s=s, stats=tuple(stats), powers=tuple(pw), sap_set=sap_set)
+        )
+
+    assert averaged(raised) <= averaged(powers) + _ROUNDING

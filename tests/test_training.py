@@ -4,26 +4,39 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relayalloc import (
     Dataset,
     InvalidArgumentError,
     NonFiniteLossError,
+    OutageQuery,
     PowerAllocation,
+    SubcarrierPower,
     SystemConfig,
     TrainingConfig,
+    all_active_outage,
     average_histories,
+    average_outage,
     build_dataset,
     compare_against_labels,
+    decode_output,
+    encode_input,
+    enumerate_saps,
+    forward,
     init_mlp,
+    normalization_for,
     relative_error,
+    stats_from_sample,
     sweep,
     train,
     write_comparison_csv,
     write_history_csv,
 )
 from relayalloc.mlp import MlpParams
-from relayalloc.training import SweepSpec, TrainingHistory, HistoryPoint
+from relayalloc.gridsearch import _outage
+from relayalloc.training import SweepSpec, TrainingHistory, HistoryPoint, _scale_up_repair
 
 CFG = SystemConfig(n=2, t=1, m=2, psi_th=1e-2, pt_max=5000.0, pr_max=5000.0)
 SOLVER = {"grid0": 8, "max_levels": 2}
@@ -289,3 +302,149 @@ def test_average_histories():
     h3 = TrainingHistory(points=[HistoryPoint(1, 0.1, 0.1, 1.0)])
     with pytest.raises(InvalidArgumentError):
         average_histories([h1, h3])
+
+
+def repair_one_at_a_time(alloc, sample, config):
+    """Reference: the per-record 80-step bisection on scalar outage calls."""
+    stats = stats_from_sample(sample)
+
+    def outage_of(a):
+        powers = [SubcarrierPower(pt=p, pr=r) for p, r in zip(a.pt, a.pr)]
+        if config.outage_mode == "single-sap":
+            return all_active_outage(stats, powers, config.s)
+        sap_set = enumerate_saps(config.n, config.t)
+        return average_outage(
+            OutageQuery(s=config.s, stats=tuple(stats), powers=tuple(powers), sap_set=sap_set)
+        )
+
+    def scaled(c):
+        return PowerAllocation(
+            pt=tuple(min(p * c, config.pt_max) for p in alloc.pt),
+            pr=tuple(min(p * c, config.pr_max) for p in alloc.pr),
+        )
+
+    positive = [p for p in alloc.as_vector() if p > 0]
+    if not positive:
+        return alloc
+    c_hi = max(config.pt_max, config.pr_max) / min(positive)
+    if outage_of(scaled(c_hi)) > config.psi_th:
+        return alloc
+    lo, hi = 1.0, c_hi
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if outage_of(scaled(mid)) <= config.psi_th:
+            hi = mid
+        else:
+            lo = mid
+    return scaled(hi)
+
+
+def violating_allocations(config, count, seed):
+    """Random (sample, allocation) pairs above the cap; some unrepairable."""
+    rng = np.random.default_rng(seed)
+    cols = config.t if config.outage_mode == "single-sap" else config.n
+    samples, vecs = [], []
+    while len(vecs) < count:
+        v = rng.uniform(0.02, 5.0, (4, cols))
+        vec = rng.uniform(0.0, 1.0, 2 * cols) * 10.0 ** rng.uniform(-3, 0)
+        vec *= np.repeat([config.pt_max, config.pr_max], cols)
+        if rng.random() < 0.1:
+            vec[:cols] = 0.0  # no transmit power: nothing to scale on those entries
+        if rng.random() < 0.05:
+            vec[:] = 0.0
+        powers = vec.reshape(2, cols)
+        if _outage(v, powers[0], powers[1], config) > config.psi_th:
+            samples.append(v)
+            vecs.append(vec)
+    return np.array(samples), np.array(vecs)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SystemConfig(),
+        SystemConfig(n=2, t=1, psi_th=1e-3, pt_max=100.0, pr_max=300.0),
+        SystemConfig(n=4, t=2, outage_mode="sap-averaged"),
+    ],
+)
+def test_lock_step_repair_matches_per_record_bisection(config):
+    samples, vecs = violating_allocations(config, 60, seed=808)
+    cols = samples.shape[2]
+    rows, new = _scale_up_repair(vecs, samples, config)
+    repaired = dict(zip(rows.tolist(), new.tolist()))
+    unchanged = 0
+    for i, (sample, vec) in enumerate(zip(samples, vecs.tolist())):
+        alloc = PowerAllocation(pt=tuple(vec[:cols]), pr=tuple(vec[cols:]))
+        ref = repair_one_at_a_time(alloc, sample, config)
+        if ref is alloc:
+            unchanged += 1
+            assert i not in repaired
+        else:
+            assert tuple(repaired[i]) == ref.as_vector()  # bitwise
+    assert 0 < unchanged < len(vecs)  # both outcomes are exercised
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sample=st.lists(st.floats(0.02, 5.0), min_size=8, max_size=8),
+    vec=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 5000.0)), min_size=4, max_size=4),
+)
+def test_repair_output_is_feasible_or_unchanged(sample, vec):
+    config = SystemConfig()
+    v = np.array(sample).reshape(1, 4, 2)
+    vec = np.array([vec])
+    rows, new = _scale_up_repair(vec, v, config)
+    if len(rows):
+        assert (new >= vec).all()
+        assert _outage(v[0], new[0, :2], new[0, 2:], config) <= config.psi_th
+    else:
+        assert new.shape == (0, 4)
+
+
+def test_csv_write_failure_keeps_the_old_file(tmp_path):
+    class Unprintable(float):
+        def __repr__(self):
+            raise RuntimeError("disk full")
+
+    path = tmp_path / "history.csv"
+    good = TrainingHistory(points=[HistoryPoint(epoch=1, loss=0.5, rel_error=0.25,
+                                                elapsed_sec=1.0)])
+    write_history_csv(good, str(path))
+    before = path.read_bytes()
+    bad = TrainingHistory(points=[
+        HistoryPoint(epoch=1, loss=0.4, rel_error=0.2, elapsed_sec=1.0),
+        HistoryPoint(epoch=2, loss=Unprintable(0.3), rel_error=0.1, elapsed_sec=2.0),
+    ])
+    with pytest.raises(RuntimeError, match="disk full"):
+        write_history_csv(bad, str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["history.csv"]
+
+
+@pytest.mark.parametrize("repair", [None, "scale-up"])
+def test_comparison_matches_per_record_reference(repair):
+    tight = SystemConfig(n=2, t=1, m=2, psi_th=1e-2, pt_max=20.0, pr_max=20.0)
+    dataset = build_dataset(tight, 8, 0.5, 5.0, 313, 1e-2, solver_kwargs=SOLVER)
+    model = init_mlp([4, 6, 2], seed=3)
+    model.biases[-1][:] = 2.0  # outputs near the boundary: about half violate
+    report = compare_against_labels(model, dataset, repair=repair)
+    norm = normalization_for(dataset)
+    for rec, row in zip(dataset.records, report.rows):
+        raw = forward(model, encode_input(rec.sample, norm.range_hi))
+        alloc = decode_output(raw, norm.pt_max, norm.pr_max)
+        stats = stats_from_sample(rec.sample)
+
+        def outage_of(a):
+            return all_active_outage(stats, [SubcarrierPower(p, r) for p, r in zip(a.pt, a.pr)],
+                                     tight.s)
+
+        repaired = False
+        if repair and outage_of(alloc) > tight.psi_th:
+            fixed = repair_one_at_a_time(alloc, rec.sample, tight)
+            repaired, alloc = fixed is not alloc, fixed
+        assert row.repaired == repaired
+        assert row.ann_total == alloc.total_power
+        assert row.ann_outage == outage_of(alloc)
+        assert row.violated == (row.ann_outage > tight.psi_th)
+    assert any(r.violated or r.repaired for r in report.rows)
+    assert any(not r.violated for r in report.rows)
