@@ -6,6 +6,17 @@ requested artifacts plus a small JSON run manifest (same path with a
 given the same options; manifests record wall-clock and are the one
 exception to byte-identical reruns.
 
+Each option is declared once, as an ``_Option`` row in the tables below;
+the rows generate the flags and carry the defaults. Values resolve as
+table default < ``--profile`` bundle < ``--config`` file < explicit flag,
+and every value passes its row's converter whichever layer it came from.
+``--config`` keys are the option names: the flag name with ``-`` turned
+into ``_``, except for the system flags, whose keys are the
+``SystemConfig`` fields (``--subcarriers`` is ``n``, ``--active`` ``t``,
+``--mod-order`` ``m``, ``--snr-threshold`` ``s``, ``--outage-threshold``
+``psi_th``). Config values are type-checked exactly like flag text, and
+a manifest's ``options`` block is itself a valid ``--config`` file.
+
 Exit codes:
     0  success
     2  bad usage or invalid arguments (argparse errors included)
@@ -17,18 +28,18 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
 from ._files import atomic_open
-from .data import load_dataset, save_dataset, split
-from .data import build_dataset
+from .data import build_dataset, load_dataset, save_dataset, split
 from .errors import (
     InfeasibleProblemError,
     InvalidArgumentError,
@@ -37,7 +48,7 @@ from .errors import (
     NumericConsistencyError,
     SchemaError,
 )
-from .gridsearch import SystemConfig, solve
+from .gridsearch import OUTAGE_MODES, SystemConfig, solve
 from .mlp import init_mlp, load_model, save_model
 from .outage import SubcarrierStats
 from .training import (
@@ -54,25 +65,69 @@ from .training import (
 
 MANIFEST_FORMAT = "relay-run-v1"
 
-_SYSTEM_DEFAULTS = {
-    "n": 4,
-    "t": 2,
-    "m": 4,
-    "s": 1.0,
-    "psi_th": 1e-2,
-    "pt_max": 5000.0,
-    "pr_max": 5000.0,
-    "outage_mode": "single-sap",
-}
+
+def _parameters(owner) -> dict:
+    """Parameter name -> the default the library declares for it."""
+    return {name: p.default for name, p in inspect.signature(owner).parameters.items()}
+
+
+_SYSTEM = _parameters(SystemConfig)
+_TRAINING = _parameters(TrainingConfig)
+_SWEEP = _parameters(SweepSpec)
+_SOLVE = _parameters(solve)
+_BUILD = _parameters(build_dataset)
+
+
+def _pick(parameters: dict, opts: dict) -> dict:
+    """The options named like parameters of the owner, as keyword arguments."""
+    return {name: opts[name] for name in parameters if name in opts}
+
+
+@dataclass(frozen=True)
+class _Option:
+    """One option: its key in ``--config`` files and manifests, its converter
+    (int, float or str), its default (None: optional, and null is accepted),
+    its help text and the values it allows."""
+
+    name: str
+    convert: type
+    default: object
+    help: str = ""
+    choices: tuple | None = None
+    flag: str | None = None  # None: --name with "_" spelled "-"
+
+
+_SYSTEM_OPTIONS = (
+    _Option("n", int, _SYSTEM["n"], "total subcarriers per block", flag="--subcarriers"),
+    _Option("t", int, _SYSTEM["t"], "active subcarriers per block", flag="--active"),
+    _Option("m", int, _SYSTEM["m"], "constellation size, a power of two", flag="--mod-order"),
+    _Option("s", float, _SYSTEM["s"], "end-to-end SNR threshold", flag="--snr-threshold"),
+    _Option("psi_th", float, _SYSTEM["psi_th"], "outage probability ceiling",
+            flag="--outage-threshold"),
+    _Option("pt_max", float, _SYSTEM["pt_max"], "per-subcarrier transmit power cap"),
+    _Option("pr_max", float, _SYSTEM["pr_max"], "per-subcarrier relay power cap"),
+    _Option("outage_mode", str, _SYSTEM["outage_mode"], "block outage definition",
+            choices=OUTAGE_MODES),
+)
+# gen-data draws its statistics from the same default range as a sweep
+_RANGE_OPTIONS = (
+    _Option("range_lo", float, _SWEEP["range_lo"], "lowest drawn channel statistic"),
+    _Option("range_hi", float, _SWEEP["range_hi"], "highest drawn channel statistic"),
+)
+_SCHEDULE_OPTIONS = (
+    _Option("epochs", int, _TRAINING["epochs"], "passes over the training set"),
+    _Option("batch_size", int, _TRAINING["batch_size"], "samples per Adam step"),
+    _Option("step_size", float, _TRAINING["step_size"], "Adam step size"),
+    _Option("snapshot_every", int, _TRAINING["snapshot_every"],
+            "epochs between history snapshots"),
+)
+_DELTA = _Option("delta", float, _SOLVE["delta"], "solver accuracy target")
+_WORKERS = _Option("workers", int, _BUILD["workers"], "parallel worker processes")
+_MANIFEST = _Option("manifest", str, None, "run manifest path (default: beside the main artifact)")
 
 _PROFILES = {
-    # Desk scale: minutes on a laptop; the defaults used throughout the tests.
-    "desk": {
-        "hidden": "64,64",
-        "epochs": 10_000,
-        "batch_size": 32,
-        "step_size": 1e-4,
-    },
+    # Desk scale: minutes on a laptop; the table defaults used throughout the tests.
+    "desk": {},
     # Full scale: pairs with a grid-sampled dataset (--sampler grid,
     # --grid-levels 3 gives 3^8 = 6561 samples) and takes hours.
     "paper": {
@@ -84,72 +139,65 @@ _PROFILES = {
 }
 
 
-def _add_system_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--subcarriers", dest="n", type=int, default=None,
-                   help="total subcarriers per block (default 4)")
-    p.add_argument("--active", dest="t", type=int, default=None,
-                   help="active subcarriers per block (default 2)")
-    p.add_argument("--mod-order", dest="m", type=int, default=None,
-                   help="constellation size, a power of two (default 4)")
-    p.add_argument("--snr-threshold", dest="s", type=float, default=None,
-                   help="end-to-end SNR threshold (default 1.0)")
-    p.add_argument("--outage-threshold", dest="psi_th", type=float, default=None,
-                   help="outage probability ceiling (default 0.01)")
-    p.add_argument("--pt-max", type=float, default=None,
-                   help="per-subcarrier transmit power cap (default 5000)")
-    p.add_argument("--pr-max", type=float, default=None,
-                   help="per-subcarrier relay power cap (default 5000)")
-    p.add_argument("--outage-mode", choices=["single-sap", "sap-averaged"],
-                   default=None, help="block outage definition (default single-sap)")
+def _convert(option: _Option, value, source: str):
+    """Check one value as argparse checks the flag's text: int and float
+    rows take numbers or numeric text, str rows take text only."""
+    if value is None and option.default is None:
+        return None
+    try:
+        if value is None or isinstance(value, bool) or (
+            option.convert is str and not isinstance(value, str)
+        ):
+            raise TypeError
+        if option.convert is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        typed = option.convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidArgumentError(
+            f"{source}: option {option.name} expects {option.convert.__name__}, got {value!r}"
+        ) from None
+    if option.choices and typed not in option.choices:
+        raise InvalidArgumentError(
+            f"{source}: option {option.name} must be one of "
+            f"{', '.join(option.choices)}, got {value!r}"
+        )
+    return typed
 
 
-def _add_config_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=None, metavar="JSON",
-                   help="JSON file of option values; explicit flags win")
+def _read_config(path: str, known: dict) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidArgumentError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidArgumentError(f"{path}: expected a JSON object")
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise InvalidArgumentError(f"{path}: unknown option(s): {', '.join(unknown)}")
+    return doc
 
 
-def _resolve(args: argparse.Namespace, defaults: dict, profile: dict | None = None) -> dict:
-    """Defaults < profile bundle < config file < explicit flags."""
-    merged = dict(defaults)
+def _resolve(args: argparse.Namespace) -> dict:
+    """Table default < profile bundle < config file < explicit flags."""
+    rows = {option.name: option for option in args.options}
+    layers = [("default", {name: option.default for name, option in rows.items()})]
+    profile = getattr(args, "profile", None)
     if profile:
-        merged.update(profile)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InvalidArgumentError(f"{config_path}: not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise InvalidArgumentError(f"{config_path}: expected a JSON object")
-        unknown = sorted(set(doc) - set(merged))
-        if unknown:
-            raise InvalidArgumentError(
-                f"{config_path}: unknown option(s): {', '.join(unknown)}"
-            )
-        merged.update(doc)
-    for key in merged:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
-def _system_config(opts: dict) -> SystemConfig:
-    return SystemConfig(
-        n=int(opts["n"]),
-        t=int(opts["t"]),
-        m=int(opts["m"]),
-        s=float(opts["s"]),
-        psi_th=float(opts["psi_th"]),
-        pt_max=float(opts["pt_max"]),
-        pr_max=float(opts["pr_max"]),
-        outage_mode=opts["outage_mode"],
-    )
+        layers.append((f"--profile {profile}", _PROFILES[profile]))
+    if args.config:
+        layers.append((args.config, _read_config(args.config, rows)))
+    flags = {name: getattr(args, name) for name in rows}
+    layers.append(("command line", {k: v for k, v in flags.items() if v is not None}))
+    return {
+        name: _convert(rows[name], value, source)
+        for source, layer in layers
+        for name, value in layer.items()
+    }
 
 
 def _write_manifest(path: str, command: str, opts: dict, artifacts: dict,
-                    started: float, extra: dict | None = None) -> None:
+                    started: float, extra: dict) -> None:
     doc = {
         "format": MANIFEST_FORMAT,
         "command": command,
@@ -157,16 +205,11 @@ def _write_manifest(path: str, command: str, opts: dict, artifacts: dict,
         "options": opts,
         "artifacts": artifacts,
         "wall_clock_sec": time.perf_counter() - started,
+        **extra,
     }
-    if extra:
-        doc.update(extra)
     with atomic_open(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _manifest_path(opts: dict, primary_artifact: str) -> str:
-    return opts.get("manifest") or primary_artifact + ".manifest.json"
 
 
 def _progress_printer(label: str):
@@ -178,80 +221,57 @@ def _progress_printer(label: str):
     return cb
 
 
-def _parse_hidden(text) -> list[int]:
-    if isinstance(text, (list, tuple)):
-        dims = [int(x) for x in text]
-    else:
-        try:
-            dims = [int(part) for part in str(text).split(",") if part.strip()]
-        except ValueError as exc:
-            raise InvalidArgumentError(f"bad hidden layer list {text!r}") from exc
-    if not dims or any(d < 1 for d in dims):
-        raise InvalidArgumentError(f"hidden layer sizes must be >= 1, got {dims}")
-    return dims
-
-
-def _parse_stats(items: list[str]) -> list[SubcarrierStats]:
-    stats = []
-    for item in items:
-        parts = [p for p in item.split(",") if p.strip()]
-        if len(parts) != 4:
-            raise InvalidArgumentError(
-                f"--stats needs mu1,mu2,eta1,eta2 (4 numbers), got {item!r}"
-            )
-        try:
-            mu1, mu2, eta1, eta2 = (float(p) for p in parts)
-        except ValueError as exc:
-            raise InvalidArgumentError(f"--stats {item!r}: not numbers") from exc
-        stats.append(SubcarrierStats(mu1=mu1, mu2=mu2, eta1=eta1, eta2=eta2))
-    return stats
+def _parse_list(text: str, kind: type, flag: str) -> tuple:
+    try:
+        return tuple(kind(part) for part in text.split(",") if part.strip())
+    except ValueError as exc:
+        raise InvalidArgumentError(
+            f"{flag} {text!r}: expected comma-separated {kind.__name__} values"
+        ) from exc
 
 
 # ----------------------------------------------------------------- gen-data
 
 
-_GEN_DEFAULTS = {
-    **_SYSTEM_DEFAULTS,
-    "count": 1000,
-    "validation_count": 0,
-    "range_lo": 0.5,
-    "range_hi": 5.0,
-    "seed": 1001,
-    "split_seed": None,
-    "delta": 1e-2,
-    "sampler": "uniform",
-    "grid_levels": None,
-    "workers": 1,
-    "out": "dataset.jsonl",
-    "val_out": "validation.jsonl",
-    "manifest": None,
-}
+_GEN_DATA_OPTIONS = (
+    *_SYSTEM_OPTIONS,
+    _Option("count", int, 1000, "training records to keep"),
+    _Option("validation_count", int, 0, "extra records split off for validation"),
+    *_RANGE_OPTIONS,
+    _Option("seed", int, 1001, "seed of the sample draws"),
+    _Option("split_seed", int, None, "seed for the train/validation split (default seed+1)"),
+    _DELTA,
+    _Option("sampler", str, _BUILD["sampler"], "how samples are drawn",
+            choices=("uniform", "grid")),
+    _Option("grid_levels", int, _BUILD["grid_levels"],
+            "values per statistic for --sampler grid"),
+    _WORKERS,
+    _Option("out", str, "dataset.jsonl", "training dataset path (JSONL)"),
+    _Option("val_out", str, "validation.jsonl", "validation dataset path (JSONL)"),
+    _MANIFEST,
+)
 
 
-def _cmd_gen_data(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    opts = _resolve(args, _GEN_DEFAULTS)
-    config = _system_config(opts)
-    validation_count = int(opts["validation_count"])
-    total = int(opts["count"]) + validation_count
+def _cmd_gen_data(opts: dict, args: argparse.Namespace) -> tuple | None:
+    config = SystemConfig(**_pick(_SYSTEM, opts))
+    validation_count = opts["validation_count"]
     dataset = build_dataset(
         config,
-        total,
-        float(opts["range_lo"]),
-        float(opts["range_hi"]),
-        int(opts["seed"]),
-        float(opts["delta"]),
+        opts["count"] + validation_count,
+        opts["range_lo"],
+        opts["range_hi"],
+        opts["seed"],
+        opts["delta"],
         sampler=opts["sampler"],
-        grid_levels=None if opts["grid_levels"] is None else int(opts["grid_levels"]),
-        workers=int(opts["workers"]),
+        grid_levels=opts["grid_levels"],
+        workers=opts["workers"],
         progress=_progress_printer("labeling"),
     )
     artifacts = {}
     if validation_count > 0:
-        split_seed = opts["split_seed"]
-        split_seed = int(opts["seed"]) + 1 if split_seed is None else int(split_seed)
-        opts["split_seed"] = split_seed
-        train_set, val_set = split(dataset, validation_count, split_seed)
+        if opts["split_seed"] is None:
+            opts["split_seed"] = opts["seed"] + 1
+        train_set, val_set = split(dataset, validation_count, opts["split_seed"])
         save_dataset(train_set, opts["out"])
         save_dataset(val_set, opts["val_out"])
         artifacts["dataset"] = opts["out"]
@@ -262,54 +282,38 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
         artifacts["dataset"] = opts["out"]
         print(f"wrote {len(dataset)} records")
     print(f"rejected {dataset.gen.rejected} infeasible sample draw(s)")
-    _write_manifest(
-        _manifest_path(opts, opts["out"]), "gen-data", opts, artifacts, started,
-        extra={"rejected": dataset.gen.rejected, "labeled": len(dataset)},
-    )
-    return 0
+    extra = {"rejected": dataset.gen.rejected, "labeled": len(dataset)}
+    return opts["out"] + ".manifest.json", artifacts, extra
 
 
 # -------------------------------------------------------------------- train
 
 
-_TRAIN_DEFAULTS = {
-    "data": "dataset.jsonl",
-    "val_data": None,
-    "hidden": "64,64",
-    "epochs": 10_000,
-    "batch_size": 32,
-    "step_size": 1e-4,
-    "beta1": 0.9,
-    "beta2": 0.999,
-    "epsilon": 1e-8,
-    "init_seed": 7,
-    "shuffle_seed": 99,
-    "snapshot_every": 100,
-    "model_out": "model.json",
-    "history_out": "history.csv",
-    "manifest": None,
-}
+_TRAIN_OPTIONS = (
+    _Option("data", str, "dataset.jsonl", "training dataset (JSONL)"),
+    _Option("val_data", str, None, "validation dataset (JSONL)"),
+    _Option("hidden", str, "64,64", "hidden layer sizes"),
+    *_SCHEDULE_OPTIONS,
+    _Option("beta1", float, _TRAINING["beta1"], "Adam first-moment decay"),
+    _Option("beta2", float, _TRAINING["beta2"], "Adam second-moment decay"),
+    _Option("epsilon", float, _TRAINING["epsilon"], "Adam denominator offset"),
+    _Option("init_seed", int, 7, "seed of the weight initialization"),
+    _Option("shuffle_seed", int, _TRAINING["shuffle_seed"], "seed of the batch shuffles"),
+    _Option("model_out", str, "model.json", "model path (JSON)"),
+    _Option("history_out", str, "history.csv", "history CSV path"),
+    _MANIFEST,
+)
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    profile = _PROFILES[args.profile] if args.profile else None
-    opts = _resolve(args, _TRAIN_DEFAULTS, profile)
+def _cmd_train(opts: dict, args: argparse.Namespace) -> tuple | None:
     dataset = load_dataset(opts["data"])
     validation = load_dataset(opts["val_data"]) if opts["val_data"] else None
-    hidden = _parse_hidden(opts["hidden"])
+    hidden = _parse_list(opts["hidden"], int, "--hidden")
+    if not hidden or min(hidden) < 1:
+        raise InvalidArgumentError(f"hidden layer sizes must be >= 1, got {list(hidden)}")
     dims = [4 * dataset.config.t, *hidden, 2 * dataset.config.t]
-    params = init_mlp(dims, int(opts["init_seed"]))
-    training = TrainingConfig(
-        epochs=int(opts["epochs"]),
-        batch_size=int(opts["batch_size"]),
-        step_size=float(opts["step_size"]),
-        beta1=float(opts["beta1"]),
-        beta2=float(opts["beta2"]),
-        epsilon=float(opts["epsilon"]),
-        shuffle_seed=int(opts["shuffle_seed"]),
-        snapshot_every=int(opts["snapshot_every"]),
-    )
+    params = init_mlp(dims, opts["init_seed"])
+    training = TrainingConfig(**_pick(_TRAINING, opts))
     params, history = run_train(params, dataset, training, validation=validation)
     save_model(params, normalization_for(dataset), opts["model_out"])
     write_history_csv(history, opts["history_out"])
@@ -319,86 +323,74 @@ def _cmd_train(args: argparse.Namespace) -> int:
         f"relative error {last.rel_error:.6g}"
     )
     artifacts = {"model": opts["model_out"], "history": opts["history_out"]}
-    _write_manifest(
-        _manifest_path(opts, opts["model_out"]), "train", opts, artifacts, started,
-        extra={"final_loss": last.loss, "final_rel_error": last.rel_error,
-               "layer_dims": dims},
-    )
-    return 0
+    extra = {"final_loss": last.loss, "final_rel_error": last.rel_error, "layer_dims": dims}
+    return opts["model_out"] + ".manifest.json", artifacts, extra
 
 
 # -------------------------------------------------------------------- solve
 
 
-_SOLVE_DEFAULTS = {
-    **_SYSTEM_DEFAULTS,
-    "delta": 1e-2,
-    "grid0": 12,
-    "refine_points": 9,
-    "shrink": 0.6,
-    "max_evaluations": 2_000_000,
-    "out": None,
-    "manifest": None,
-}
+_SOLVE_OPTIONS = (
+    *_SYSTEM_OPTIONS,
+    _DELTA,
+    _Option("grid0", int, _SOLVE["grid0"], "points per axis on the first grid"),
+    _Option("refine_points", int, _SOLVE["refine_points"],
+            "points per axis per refinement level, odd"),
+    _Option("shrink", float, _SOLVE["shrink"], "window shrink factor per level"),
+    _Option("max_evaluations", int, _SOLVE["max_evaluations"], "grid evaluation budget"),
+    _Option("out", str, None, "write the result as JSON"),
+    _MANIFEST,
+)
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    opts = _resolve(args, _SOLVE_DEFAULTS)
+def _cmd_solve(opts: dict, args: argparse.Namespace) -> tuple | None:
     if not args.stats:
         raise InvalidArgumentError("solve needs at least one --stats mu1,mu2,eta1,eta2")
-    stats = _parse_stats(args.stats)
-    config = _system_config(opts)
-    result = solve(
-        stats,
-        config,
-        float(opts["delta"]),
-        grid0=int(opts["grid0"]),
-        refine_points=int(opts["refine_points"]),
-        shrink=float(opts["shrink"]),
-        max_evaluations=int(opts["max_evaluations"]),
-    )
+    stats = []
+    for item in args.stats:
+        values = _parse_list(item, float, "--stats")
+        if len(values) != 4:
+            raise InvalidArgumentError(f"--stats needs mu1,mu2,eta1,eta2, got {item!r}")
+        stats.append(SubcarrierStats(*values))
+    config = SystemConfig(**_pick(_SYSTEM, opts))
+    result = solve(stats, config, **_pick(_SOLVE, opts))
     for i, (pt, pr) in enumerate(zip(result.allocation.pt, result.allocation.pr), start=1):
         print(f"subcarrier {i}: transmit {pt!r}, relay {pr!r}")
     print(f"total power: {result.total_power!r}")
     print(f"achieved outage: {result.achieved_outage!r} (ceiling {config.psi_th!r})")
     print(f"grid evaluations: {result.evaluations}, refinement levels: {result.levels}")
-    if opts["out"]:
-        doc = {
-            "pt": list(result.allocation.pt),
-            "pr": list(result.allocation.pr),
-            "total_power": result.total_power,
-            "achieved_outage": result.achieved_outage,
-            "accuracy": result.accuracy,
-            "evaluations": result.evaluations,
-            "levels": result.levels,
-        }
-        with atomic_open(opts["out"]) as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        _write_manifest(
-            _manifest_path(opts, opts["out"]), "solve", opts,
-            {"result": opts["out"]}, started,
-        )
-    return 0
+    if not opts["out"]:
+        return None
+    doc = {
+        "pt": list(result.allocation.pt),
+        "pr": list(result.allocation.pr),
+        "total_power": result.total_power,
+        "achieved_outage": result.achieved_outage,
+        "accuracy": result.accuracy,
+        "evaluations": result.evaluations,
+        "levels": result.levels,
+    }
+    with atomic_open(opts["out"]) as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    return opts["out"] + ".manifest.json", {"result": opts["out"]}, {}
 
 
 # --------------------------------------------------------------------- eval
 
 
-_EVAL_DEFAULTS = {
-    "model": "model.json",
-    "data": "validation.jsonl",
-    "out": "comparison.csv",
-    "repair": None,
-    "limit": None,
-    "manifest": None,
-}
+_EVAL_OPTIONS = (
+    _Option("model", str, "model.json", "trained model (JSON)"),
+    _Option("data", str, "validation.jsonl", "labeled dataset (JSONL)"),
+    _Option("out", str, "comparison.csv", "comparison CSV path"),
+    _Option("repair", str, None, "scale infeasible allocations up to feasibility first",
+            choices=("scale-up",)),
+    _Option("limit", int, None, "use only the first N records"),
+    _MANIFEST,
+)
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    opts = _resolve(args, _EVAL_DEFAULTS)
+def _cmd_eval(opts: dict, args: argparse.Namespace) -> tuple | None:
     params, norm = load_model(opts["model"])
     dataset = load_dataset(opts["data"])
     stored = normalization_for(dataset)
@@ -409,8 +401,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             "model and dataset disagree on normalization "
             f"(model {norm}, dataset {stored})"
         )
-    if opts["limit"] is not None:
-        k = int(opts["limit"])
+    k = opts["limit"]
+    if k is not None:
         if not (0 < k <= len(dataset)):
             raise InvalidArgumentError(f"--limit must be in (0, {len(dataset)}]")
         dataset = replace(dataset, gen=replace(dataset.gen, count=k), records=dataset.records[:k])
@@ -421,80 +413,45 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     print(f"mean total-power gap: {report.mean_gap:+.4%}")
     print(f"outage violations: {report.violation_rate:.2%}")
     print(f"within 25% of the search optimum: {within:.2%}")
-    _write_manifest(
-        _manifest_path(opts, opts["out"]), "eval", opts,
-        {"comparison": opts["out"]}, started,
-        extra={
-            "mean_gap": report.mean_gap,
-            "violation_rate": report.violation_rate,
-            "within_25pct": within,
-        },
-    )
-    return 0
+    extra = {"mean_gap": report.mean_gap, "violation_rate": report.violation_rate,
+             "within_25pct": within}
+    return opts["out"] + ".manifest.json", {"comparison": opts["out"]}, extra
 
 
 # -------------------------------------------------------------------- sweep
 
 
-_SWEEP_DEFAULTS = {
-    **_SYSTEM_DEFAULTS,
-    "experiment": "neurons",
-    "grid": "16,32,64",
-    "repeats": 3,
-    "base_seed": 0,
-    "hidden_layers": 2,
-    "neurons": 64,
-    "train_count": 1000,
-    "validation_count": 200,
-    "range_lo": 0.5,
-    "range_hi": 5.0,
-    "delta": 1e-2,
-    "epochs": 10_000,
-    "batch_size": 32,
-    "step_size": 1e-4,
-    "snapshot_every": 100,
-    "workers": 1,
-    "out_dir": "sweep",
-    "manifest": None,
-}
+_SWEEP_OPTIONS = (
+    *_SYSTEM_OPTIONS,
+    _Option("experiment", str, "neurons", "hyperparameter the grid varies",
+            choices=("neurons", "layers", "outage-threshold")),
+    _Option("grid", str, "16,32,64", "comma-separated grid values"),
+    # short CLI sweeps; SweepSpec's own default is the paper's 10 repeats
+    _Option("repeats", int, 3, "training runs per grid value"),
+    _Option("base_seed", int, _SWEEP["base_seed"], "seed every run's seeds derive from"),
+    _Option("hidden_layers", int, _SWEEP["hidden_layers"], "hidden layers per network"),
+    _Option("neurons", int, _SWEEP["neurons"], "neurons per hidden layer"),
+    _Option("train_count", int, _SWEEP["train_count"], "training records per run"),
+    _Option("validation_count", int, _SWEEP["validation_count"],
+            "validation records per run"),
+    *_RANGE_OPTIONS,
+    _DELTA,
+    *_SCHEDULE_OPTIONS,
+    _WORKERS,
+    _Option("out_dir", str, "sweep", "directory of the history CSVs"),
+    _MANIFEST,
+)
 
 
-def _parse_grid(text, experiment: str) -> tuple:
-    if isinstance(text, (list, tuple)):
-        values = list(text)
-    else:
-        values = [part for part in str(text).split(",") if part.strip()]
-    if experiment == "outage-threshold":
-        return tuple(float(v) for v in values)
-    return tuple(int(v) for v in values)
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    opts = _resolve(args, _SWEEP_DEFAULTS)
-    system = _system_config(opts)
-    spec = SweepSpec(
-        experiment=opts["experiment"],
-        grid=_parse_grid(opts["grid"], opts["experiment"]),
-        repeats=int(opts["repeats"]),
-        base_seed=int(opts["base_seed"]),
-        hidden_layers=int(opts["hidden_layers"]),
-        neurons=int(opts["neurons"]),
-        train_count=int(opts["train_count"]),
-        validation_count=int(opts["validation_count"]),
-        range_lo=float(opts["range_lo"]),
-        range_hi=float(opts["range_hi"]),
-        delta=float(opts["delta"]),
-    )
-    training = TrainingConfig(
-        epochs=int(opts["epochs"]),
-        batch_size=int(opts["batch_size"]),
-        step_size=float(opts["step_size"]),
-        snapshot_every=int(opts["snapshot_every"]),
-    )
+def _cmd_sweep(opts: dict, args: argparse.Namespace) -> tuple | None:
+    system = SystemConfig(**_pick(_SYSTEM, opts))
+    kind = float if opts["experiment"] == "outage-threshold" else int
+    grid = _parse_list(opts["grid"], kind, "--grid")
+    spec = SweepSpec(**_pick(_SWEEP, {**opts, "grid": grid}))
+    training = TrainingConfig(**_pick(_TRAINING, opts))
     runs = run_sweep(
         spec, system, training,
-        workers=int(opts["workers"]),
+        workers=opts["workers"],
         progress=_progress_printer("runs"),
     )
     os.makedirs(opts["out_dir"], exist_ok=True)
@@ -512,15 +469,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         artifacts[mean_name] = mean_path
         final = float(np.mean([r.final_rel_error for r in value_runs]))
         print(f"{spec.experiment}={value}: mean final relative error {final:.4f}")
-    manifest = opts["manifest"] or os.path.join(opts["out_dir"], "sweep.manifest.json")
-    _write_manifest(
-        manifest, "sweep", opts, artifacts, started,
-        extra={"seeds": [r.seeds for r in runs]},
-    )
-    return 0
+    manifest = os.path.join(opts["out_dir"], "sweep.manifest.json")
+    return manifest, artifacts, {"seeds": [r.seeds for r in runs]}
 
 
 # --------------------------------------------------------------------- main
+
+
+# A handler returns (default manifest path, artifacts, extra manifest
+# fields), or None when it wrote no artifact and so no manifest.
+_COMMANDS = (
+    ("gen-data", _cmd_gen_data, _GEN_DATA_OPTIONS,
+     "draw channel statistics and label them with the grid-search optimum"),
+    ("train", _cmd_train, _TRAIN_OPTIONS, "fit the allocation network on a dataset"),
+    ("solve", _cmd_solve, _SOLVE_OPTIONS,
+     "grid-search the minimum-power allocation for given channel statistics"),
+    ("eval", _cmd_eval, _EVAL_OPTIONS,
+     "compare network allocations with the stored search optima of a labeled dataset"),
+    ("sweep", _cmd_sweep, _SWEEP_OPTIONS,
+     "repeat training over a grid of one hyperparameter and average the histories"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -531,115 +499,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="draw channel statistics and label them "
-                                        "with the grid-search optimum")
-    _add_config_flag(p)
-    _add_system_flags(p)
-    p.add_argument("--count", type=int, default=None, help="training records to keep")
-    p.add_argument("--validation-count", type=int, default=None,
-                   help="extra records split off for validation (default 0)")
-    p.add_argument("--range-lo", type=float, default=None)
-    p.add_argument("--range-hi", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--split-seed", type=int, default=None,
-                   help="seed for the train/validation split (default seed+1)")
-    p.add_argument("--delta", type=float, default=None,
-                   help="solver accuracy target (default 0.01)")
-    p.add_argument("--sampler", choices=["uniform", "grid"], default=None)
-    p.add_argument("--grid-levels", type=int, default=None,
-                   help="values per statistic for --sampler grid")
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel labeling processes (default 1)")
-    p.add_argument("--out", default=None, help="training dataset path (JSONL)")
-    p.add_argument("--val-out", default=None, help="validation dataset path (JSONL)")
-    p.add_argument("--manifest", default=None)
-    p.set_defaults(func=_cmd_gen_data)
-
-    p = sub.add_parser("train", help="fit the allocation network on a dataset")
-    _add_config_flag(p)
-    p.add_argument("--profile", choices=sorted(_PROFILES), default=None,
-                   help="bundle of defaults: desk (small, minutes) or paper (full scale)")
-    p.add_argument("--data", default=None, help="training dataset (JSONL)")
-    p.add_argument("--val-data", default=None, help="validation dataset (JSONL)")
-    p.add_argument("--hidden", default=None, help="hidden layer sizes, e.g. 64,64")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--step-size", type=float, default=None)
-    p.add_argument("--beta1", type=float, default=None)
-    p.add_argument("--beta2", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--init-seed", type=int, default=None)
-    p.add_argument("--shuffle-seed", type=int, default=None)
-    p.add_argument("--snapshot-every", type=int, default=None)
-    p.add_argument("--model-out", default=None)
-    p.add_argument("--history-out", default=None)
-    p.add_argument("--manifest", default=None)
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("solve", help="grid-search the minimum-power allocation "
-                                     "for given channel statistics")
-    _add_config_flag(p)
-    _add_system_flags(p)
-    p.add_argument("--stats", action="append", metavar="MU1,MU2,ETA1,ETA2",
-                   help="one subcarrier's statistics; repeat per subcarrier")
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--grid0", type=int, default=None,
-                   help="points per axis on the first grid (default 12)")
-    p.add_argument("--refine-points", type=int, default=None,
-                   help="points per axis per refinement level, odd (default 9)")
-    p.add_argument("--shrink", type=float, default=None,
-                   help="window shrink factor per level (default 0.6)")
-    p.add_argument("--max-evaluations", type=int, default=None)
-    p.add_argument("--out", default=None, help="write the result as JSON")
-    p.add_argument("--manifest", default=None)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("eval", help="compare network allocations with the "
-                                    "stored search optima of a labeled dataset")
-    _add_config_flag(p)
-    p.add_argument("--model", default=None)
-    p.add_argument("--data", default=None, help="labeled dataset (JSONL)")
-    p.add_argument("--out", default=None, help="comparison CSV path")
-    p.add_argument("--repair", choices=["scale-up"], default=None,
-                   help="scale infeasible allocations up to feasibility first")
-    p.add_argument("--limit", type=int, default=None, help="use only the first N records")
-    p.add_argument("--manifest", default=None)
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("sweep", help="repeat training over a grid of one "
-                                     "hyperparameter and average the histories")
-    _add_config_flag(p)
-    _add_system_flags(p)
-    p.add_argument("--experiment", choices=["neurons", "layers", "outage-threshold"],
-                   default=None)
-    p.add_argument("--grid", default=None, help="comma-separated grid values")
-    p.add_argument("--repeats", type=int, default=None)
-    p.add_argument("--base-seed", type=int, default=None)
-    p.add_argument("--hidden-layers", type=int, default=None)
-    p.add_argument("--neurons", type=int, default=None)
-    p.add_argument("--train-count", type=int, default=None)
-    p.add_argument("--validation-count", type=int, default=None)
-    p.add_argument("--range-lo", type=float, default=None)
-    p.add_argument("--range-hi", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--step-size", type=float, default=None)
-    p.add_argument("--snapshot-every", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--out-dir", default=None)
-    p.add_argument("--manifest", default=None)
-    p.set_defaults(func=_cmd_sweep)
-
+    for command, func, options, help_text in _COMMANDS:
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", metavar="JSON",
+                       help="JSON file of option values; explicit flags win")
+        for o in options:
+            shown = o.help if o.default is None else f"{o.help} (default {o.default})".lstrip()
+            p.add_argument(o.flag or "--" + o.name.replace("_", "-"), dest=o.name,
+                           type=o.convert, choices=o.choices, help=shown)
+        p.set_defaults(func=func, options=options)
+    sub.choices["train"].add_argument(
+        "--profile", choices=sorted(_PROFILES),
+        help="bundle of defaults: desk (small, minutes) or paper (full scale)")
+    sub.choices["solve"].add_argument(
+        "--stats", action="append", metavar="MU1,MU2,ETA1,ETA2",
+        help="one subcarrier's statistics; repeat per subcarrier")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        opts = _resolve(args)
+        manifest = args.func(opts, args)
+        if manifest:
+            default_path, artifacts, extra = manifest
+            _write_manifest(opts["manifest"] or default_path, args.command, opts, artifacts,
+                            started, extra)
+        return 0
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -387,7 +387,7 @@ def _read_record(
             achieved_outage=float(doc["achieved_outage"]),
             evaluations=int(doc["evaluations"]),
         )
-    except (KeyError, TypeError, InvalidArgumentError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers InvalidArgumentError
         raise SchemaError(f"{path}:{lineno}: malformed record: {exc}") from exc
     expect_cols = _cols(config)
     if rec.sample.shape != (4, expect_cols):
@@ -413,7 +413,8 @@ def _check_outages(records: list[DatasetRecord], config: SystemConfig, path: str
     """Statistics validity, outage re-check, outage cap and label total, in
     record order, with one outage call for all records."""
     samples = np.array([rec.sample for rec in records]).reshape(len(records), 4, _cols(config))
-    bad_stats = ~(np.isfinite(samples) & (samples > 0)).all(axis=(1, 2))
+    ok = np.isfinite(samples) & (samples > 0)
+    bad_stats = ~ok.all(axis=(1, 2))
     valid = int(np.argmax(bad_stats)) if bad_stats.any() else len(records)
     labels = np.array([(rec.label.pt, rec.label.pr) for rec in records[:valid]])
     labels = labels.reshape(valid, 2, samples.shape[2])
@@ -436,4 +437,7 @@ def _check_outages(records: list[DatasetRecord], config: SystemConfig, path: str
                 f"disagrees with the label sum {total}"
             )
     if valid < len(records):
-        stats_from_sample(records[valid].sample)  # raises SubcarrierStats' own error
+        bad = samples[valid][~ok[valid]][0]
+        raise InvariantViolationError(
+            f"{path}:{valid + 2}: channel statistics must be finite and > 0, got {bad}"
+        )

@@ -72,6 +72,54 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown option" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bad, option",
+    [
+        ({"t": 1.5}, "t"),
+        ({"count": True}, "count"),
+        ({"count": None}, "count"),
+        ({"delta": "0.01x"}, "delta"),
+        ({"outage_mode": "bogus"}, "outage_mode"),
+    ],
+)
+def test_config_file_rejects_bad_values(tmp_path, capsys, bad, option):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": 2, "t": 1, "m": 2, "count": 2, **bad}))
+    out = tmp_path / "train.jsonl"
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"option {option} " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_manifest_options_replay_as_config(tmp_path):
+    def replay(manifest, command, *flags):
+        cfg = tmp_path / f"{command}.options.json"
+        cfg.write_text(json.dumps(json.loads(manifest.read_text())["options"]))
+        return main([command, "--config", str(cfg), *flags])
+
+    data, val = tmp_path / "a.jsonl", tmp_path / "a.val.jsonl"
+    assert main(gen_args(data, val, count=6)) == 0
+    data2, val2 = tmp_path / "b.jsonl", tmp_path / "b.val.jsonl"
+    assert replay(tmp_path / "a.jsonl.manifest.json", "gen-data",
+                  "--out", str(data2), "--val-out", str(val2)) == 0
+    assert (data.read_bytes(), val.read_bytes()) == (data2.read_bytes(), val2.read_bytes())
+
+    model, history = tmp_path / "m1.json", tmp_path / "h1.csv"
+    assert main(train_args(data, val, model, history)) == 0
+    model2, history2 = tmp_path / "m2.json", tmp_path / "h2.csv"
+    assert replay(tmp_path / "m1.json.manifest.json", "train",
+                  "--model-out", str(model2), "--history-out", str(history2)) == 0
+    assert (model.read_bytes(), history.read_bytes()) == (
+        model2.read_bytes(), history2.read_bytes())
+
+    result, result2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    assert main(["solve", *SMALL_SYSTEM, "--stats", "1,1,1,1", "--grid0", "8",
+                 "--out", str(result)]) == 0
+    assert replay(tmp_path / "r1.json.manifest.json", "solve",
+                  "--stats", "1,1,1,1", "--out", str(result2)) == 0
+    assert result.read_bytes() == result2.read_bytes()
+
+
 def test_config_file_rejects_bad_json(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text("{ nope")
@@ -89,6 +137,10 @@ def test_usage_errors_exit_2(capsys):
     assert main(["solve"]) == 2  # no --stats
     assert main(["solve", "--stats", "1,1,1"]) == 2  # three numbers
     assert main(["solve", "--stats", "1,1,1,1", "--delta", "7"]) == 2
+    assert main(["sweep", "--grid", "a,b"]) == 2
+    assert main(["sweep", "--experiment", "neurons", "--grid", "1.5"]) == 2
+    assert main(["sweep", "--experiment", "layers", "--grid", "1.5"]) == 2
+    assert "--grid '1.5'" in capsys.readouterr().err
 
 
 def test_solve_prints_and_writes_result(tmp_path, capsys):
@@ -129,6 +181,13 @@ def test_missing_file_exits_4(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("{ nope\n")
     assert main(["train", "--data", str(bad)]) == 4
+    good = tmp_path / "good.jsonl"
+    assert main(gen_args(good)) == 0
+    header, record, *rest = good.read_text().splitlines()
+    record = json.dumps({**json.loads(record), "evaluations": "x"})
+    bad.write_text("\n".join([header, record, *rest]) + "\n")
+    assert main(["train", "--data", str(bad)]) == 4
+    assert ":2: malformed record" in capsys.readouterr().err
 
 
 def test_numeric_failure_exits_5(tmp_path, monkeypatch):

@@ -340,6 +340,12 @@ def corrupt_records(tmp_path, edits):
         ({3: ("pt", [-1.0]), 4: ("total_power", 1.0)}, SchemaError, 3),
         # an infeasible label on line 4 precedes a bad total on line 5
         ({4: ("pt", [0.0]), 5: ("total_power", 1.0)}, InvariantViolationError, 4),
+        # non-numeric fields are malformed records
+        ({3: ("evaluations", "x")}, SchemaError, 3),
+        ({2: ("total_power", "abc")}, SchemaError, 2),
+        ({4: ("v", [["x"], [1.0], [1.0], [1.0]])}, SchemaError, 4),
+        # a bad total on line 2 precedes a non-numeric field on line 3
+        ({2: ("total_power", 1.0), 3: ("evaluations", "x")}, InvariantViolationError, 2),
     ],
 )
 def test_load_reports_the_first_corrupt_record(tmp_path, edits, exc, first):
@@ -352,10 +358,19 @@ def test_load_rejects_non_finite_statistics_before_later_faults(tmp_path):
     path = corrupt_records(
         tmp_path, {3: ("v", [[float("nan")], [1.0], [1.0], [1.0]]), 4: ("total_power", 1.0)}
     )
-    with pytest.raises(InvalidArgumentError, match="mu1 must be finite and > 0"):
+    with pytest.raises(InvariantViolationError, match=":3: channel statistics must be finite"):
         load_dataset(path)
     path = corrupt_records(
         tmp_path, {2: ("total_power", 1.0), 3: ("v", [[float("nan")], [1.0], [1.0], [1.0]])}
     )
     with pytest.raises(InvariantViolationError, match=":2: stored total_power"):
         load_dataset(path)
+    # a zero statistic stays inside a header range that starts at 0
+    lines = open(corrupt_records(tmp_path, {})).read().splitlines()
+    header, record = json.loads(lines[0]), json.loads(lines[1])
+    header["generation"]["range_lo"] = 0.0
+    record["v"][1][0] = 0.0
+    zero = tmp_path / "zero.jsonl"
+    zero.write_text("\n".join([json.dumps(header), json.dumps(record), *lines[2:]]) + "\n")
+    with pytest.raises(InvariantViolationError, match=":2: channel statistics must be finite"):
+        load_dataset(str(zero))
