@@ -23,6 +23,7 @@ Exit codes:
     3  the requested problem is infeasible at the power caps
     4  I/O failure or a malformed artifact file
     5  numeric failure (non-finite training loss, consistency check)
+    6  the grid search would exceed its evaluation budget
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from . import __version__
 from ._files import atomic_open
 from .data import build_dataset, load_dataset, save_dataset, split
 from .errors import (
+    BudgetExceededError,
     InfeasibleProblemError,
     InvalidArgumentError,
     InvariantViolationError,
@@ -256,15 +258,7 @@ def _cmd_gen_data(opts: dict, args: argparse.Namespace) -> tuple | None:
     config = SystemConfig(**_pick(_SYSTEM, opts))
     validation_count = opts["validation_count"]
     dataset = build_dataset(
-        config,
-        opts["count"] + validation_count,
-        opts["range_lo"],
-        opts["range_hi"],
-        opts["seed"],
-        opts["delta"],
-        sampler=opts["sampler"],
-        grid_levels=opts["grid_levels"],
-        workers=opts["workers"],
+        config, **{**_pick(_BUILD, opts), "count": opts["count"] + validation_count},
         progress=_progress_printer("labeling"),
     )
     artifacts = {}
@@ -540,6 +534,9 @@ def main(argv: list[str] | None = None) -> int:
     except (NonFiniteLossError, NumericConsistencyError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 5
+    except BudgetExceededError as exc:
+        print(f"search budget exceeded: {exc}", file=sys.stderr)
+        return 6
 
 
 if __name__ == "__main__":

@@ -6,8 +6,12 @@ JSON lines: one header object holding the system configuration and the
 generation metadata, then one object per record. Floats are serialized
 with shortest round-trip precision, so save -> load is bit-exact;
 ``load_dataset`` re-validates every documented invariant and refuses
-files that fail any of them, reporting the first failing line. Feasibility
-filters and label re-checks take one batched outage call per dataset.
+files that fail any of them (a wrongly typed field included; nothing is
+coerced), reporting the first failing line. Feasibility filters and label
+re-checks take one batched outage call per dataset.
+
+A ``Dataset`` stores its records and builds, once, the read-only column
+views that the loader's checks, training and evaluation read instead.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from __future__ import annotations
 import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +38,7 @@ from .gridsearch import (
     _cols,
     _outage,
     _outage_at_caps,
+    _row_totals,
     solve,
 )
 # Not called here; perfbench/layers.py traces feasibility checks through this name.
@@ -79,6 +85,24 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.records)
 
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The one place the records become arrays."""
+        n, cols = len(self.records), _cols(self.config)
+        columns = (
+            np.array([r.sample for r in self.records], float).reshape(n, 4, cols),
+            np.array([r.label.as_vector() for r in self.records], float).reshape(n, 2 * cols),
+            np.array([r.total_power for r in self.records], float).reshape(n),
+        )
+        for arr in columns:
+            arr.flags.writeable = False
+        return columns
+
+    samples = property(lambda self: self._columns[0], doc="(N, 4, cols) statistics, read-only")
+    labels = property(lambda self: self._columns[1],
+                      doc="(N, 2*cols) oracle allocations, pt then pr, read-only")
+    totals = property(lambda self: self._columns[2], doc="(N,) stored oracle totals, read-only")
+
 
 def stats_from_sample(v: np.ndarray) -> list[SubcarrierStats]:
     """Column i of the 4xT matrix -> that subcarrier's statistics."""
@@ -115,9 +139,7 @@ def generate_grid_samples(levels: int, range_lo: float, range_hi: float, t: int)
     if levels < 2:
         raise InvalidArgumentError(f"levels must be >= 2, got {levels}")
     axis = np.linspace(range_lo, range_hi, levels)
-    combos = itertools.product(axis, repeat=4 * t)
-    flat = np.array(list(combos))
-    return flat.reshape(-1, 4, t)
+    return np.array(list(itertools.product(axis, repeat=4 * t))).reshape(-1, 4, t)
 
 
 def draw_feasible_samples(
@@ -200,16 +222,8 @@ def label_dataset(
         for v, res in zip(samples, results)
     )
     if gen is None:
-        gen = GenerationSpec(
-            sampler="uniform",
-            range_lo=float(samples.min()),
-            range_hi=float(samples.max()),
-            count=len(records),
-            seed=None,
-            delta=delta,
-        )
-    else:
-        gen = replace(gen, count=len(records), delta=delta)
+        gen = GenerationSpec("uniform", float(samples.min()), float(samples.max()), 0, None, delta)
+    gen = replace(gen, count=len(records), delta=delta)
     return Dataset(config=config, gen=gen, records=records)
 
 
@@ -230,15 +244,7 @@ def build_dataset(
     """Draw feasible samples and label them; the gen-data orchestration."""
     if sampler == "uniform":
         samples, rejected = draw_feasible_samples(count, range_lo, range_hi, config, seed)
-        gen = GenerationSpec(
-            sampler="uniform",
-            range_lo=range_lo,
-            range_hi=range_hi,
-            count=len(samples),
-            seed=seed,
-            delta=delta,
-            rejected=rejected,
-        )
+        grid_levels = None
     elif sampler == "grid":
         if grid_levels is None:
             raise InvalidArgumentError("grid sampler needs grid_levels")
@@ -247,27 +253,13 @@ def build_dataset(
         if len(samples) == 0:
             raise InfeasibleProblemError("no lattice point is feasible at the power caps")
         rejected = len(lattice) - len(samples)
-        gen = GenerationSpec(
-            sampler="grid",
-            range_lo=range_lo,
-            range_hi=range_hi,
-            count=len(samples),
-            seed=None,
-            delta=delta,
-            rejected=rejected,
-            grid_levels=grid_levels,
-        )
+        seed = None
     else:
         raise InvalidArgumentError(f"unknown sampler {sampler!r}")
-    return label_dataset(
-        samples,
-        config,
-        delta,
-        gen=gen,
-        workers=workers,
-        solver_kwargs=solver_kwargs,
-        progress=progress,
-    )
+    gen = GenerationSpec(sampler, range_lo, range_hi, len(samples), seed, delta, rejected,
+                         grid_levels)
+    return label_dataset(samples, config, delta, gen=gen, workers=workers,
+                         solver_kwargs=solver_kwargs, progress=progress)
 
 
 def split(dataset: Dataset, validation_count: int, seed: int) -> tuple[Dataset, Dataset]:
@@ -281,34 +273,23 @@ def split(dataset: Dataset, validation_count: int, seed: int) -> tuple[Dataset, 
     perm = rng.permutation(n)
     val_idx = sorted(perm[:validation_count].tolist())
     train_idx = sorted(perm[validation_count:].tolist())
-    train = Dataset(
-        config=dataset.config,
-        gen=replace(dataset.gen, count=len(train_idx), split_role="train", split_seed=seed),
-        records=tuple(dataset.records[i] for i in train_idx),
+    return tuple(
+        Dataset(
+            config=dataset.config,
+            gen=replace(dataset.gen, count=len(idx), split_role=role, split_seed=seed),
+            records=tuple(dataset.records[i] for i in idx),
+        )
+        for role, idx in (("train", train_idx), ("validation", val_idx))
     )
-    val = Dataset(
-        config=dataset.config,
-        gen=replace(dataset.gen, count=len(val_idx), split_role="validation", split_seed=seed),
-        records=tuple(dataset.records[i] for i in val_idx),
-    )
-    return train, val
 
 
 def _gen_doc(gen: GenerationSpec) -> dict:
-    doc = {
-        "sampler": gen.sampler,
-        "range_lo": gen.range_lo,
-        "range_hi": gen.range_hi,
-        "count": gen.count,
-        "seed": gen.seed,
-        "delta": gen.delta,
-        "rejected": gen.rejected,
-    }
-    if gen.grid_levels is not None:
-        doc["grid_levels"] = gen.grid_levels
-    if gen.split_role is not None:
-        doc["split_role"] = gen.split_role
-        doc["split_seed"] = gen.split_seed
+    """The header's generation block: unset grid and split fields are left out."""
+    doc = asdict(gen)
+    if gen.grid_levels is None:
+        del doc["grid_levels"]
+    if gen.split_role is None:
+        del doc["split_role"], doc["split_seed"]
     return doc
 
 
@@ -321,11 +302,13 @@ def save_dataset(dataset: Dataset, path: str) -> None:
             "generation": _gen_doc(dataset.gen),
         }
         fh.write(json.dumps(header) + "\n")
-        for rec in dataset.records:
+        cols = _cols(dataset.config)
+        for rec, v, label in zip(dataset.records, dataset.samples.tolist(),
+                                 dataset.labels.tolist()):
             doc = {
-                "v": [[float(x) for x in row] for row in rec.sample],
-                "pt": [float(x) for x in rec.label.pt],
-                "pr": [float(x) for x in rec.label.pr],
+                "v": v,
+                "pt": label[:cols],
+                "pr": label[cols:],
                 "total_power": rec.total_power,
                 "achieved_outage": rec.achieved_outage,
                 "evaluations": rec.evaluations,
@@ -348,12 +331,14 @@ def load_dataset(path: str) -> Dataset:
             f"{path}: expected format {DATASET_FORMAT!r}, got {header.get('format')!r}"
         )
     try:
-        config = SystemConfig(**header["config"])
-        gen = GenerationSpec(**header["generation"])
-    except (KeyError, TypeError) as exc:
+        config = SystemConfig(**_typed(SystemConfig, header["config"]))
+        gen = GenerationSpec(**_typed(GenerationSpec, header["generation"]))
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers InvalidArgumentError
         raise SchemaError(f"{path}: malformed header: {exc}") from exc
 
     body = [ln for ln in lines[1:] if ln.strip()]
+    if not body:
+        raise InvariantViolationError(f"{path}: no records")
     if len(body) != gen.count:
         raise InvariantViolationError(
             f"{path}: header says {gen.count} records, file has {len(body)}"
@@ -363,10 +348,29 @@ def load_dataset(path: str) -> Dataset:
         try:
             records.append(_read_record(ln, config, gen, path, lineno))
         except Exception:
-            _check_outages(records, config, path)  # a fault on an earlier line wins
+            # a fault on an earlier line wins
+            _check_outages(Dataset(config=config, gen=gen, records=tuple(records)), path)
             raise
-    _check_outages(records, config, path)
-    return Dataset(config=config, gen=gen, records=tuple(records))
+    dataset = Dataset(config=config, gen=gen, records=tuple(records))
+    _check_outages(dataset, path)
+    return dataset
+
+
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "None": type(None)}
+
+
+def _typed(cls, doc: dict) -> dict:
+    """``doc``, if each value's JSON type matches the annotation of the
+    ``cls`` field it names (``int | None`` takes null, no field takes a
+    boolean); TypeError otherwise."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"expected a JSON object, got {doc!r}")
+    for f in fields(cls):
+        value = doc.get(f.name)
+        kinds = tuple(_JSON_TYPES[k] for k in f.type.split(" | ") if k in _JSON_TYPES)
+        if f.name in doc and (isinstance(value, bool) or not isinstance(value, kinds)):
+            raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
+    return doc
 
 
 def _read_record(
@@ -380,12 +384,15 @@ def _read_record(
     try:
         sample = np.asarray(doc["v"], dtype=float)
         label = PowerAllocation(pt=tuple(doc["pt"]), pr=tuple(doc["pr"]))
+        scalars = _typed(DatasetRecord, {
+            name: doc[name] for name in ("total_power", "achieved_outage", "evaluations")
+        })
         rec = DatasetRecord(
             sample=sample,
             label=label,
-            total_power=float(doc["total_power"]),
-            achieved_outage=float(doc["achieved_outage"]),
-            evaluations=int(doc["evaluations"]),
+            total_power=float(scalars["total_power"]),
+            achieved_outage=float(scalars["achieved_outage"]),
+            evaluations=scalars["evaluations"],
         )
     except (KeyError, TypeError, ValueError) as exc:  # ValueError covers InvalidArgumentError
         raise SchemaError(f"{path}:{lineno}: malformed record: {exc}") from exc
@@ -402,24 +409,25 @@ def _read_record(
         raise InvariantViolationError(
             f"{path}:{lineno}: label length {len(rec.label.pt)} != {expect_cols}"
         )
-    if (np.asarray(rec.label.pt) > config.pt_max).any() or (
-        np.asarray(rec.label.pr) > config.pr_max
-    ).any():
+    if max(rec.label.pt) > config.pt_max or max(rec.label.pr) > config.pr_max:
         raise InvariantViolationError(f"{path}:{lineno}: label exceeds the power caps")
     return rec
 
 
-def _check_outages(records: list[DatasetRecord], config: SystemConfig, path: str) -> None:
+def _check_outages(dataset: Dataset, path: str) -> None:
     """Statistics validity, outage re-check, outage cap and label total, in
     record order, with one outage call for all records."""
-    samples = np.array([rec.sample for rec in records]).reshape(len(records), 4, _cols(config))
+    config, records = dataset.config, dataset.records
+    samples, labels = dataset.samples, dataset.labels
     ok = np.isfinite(samples) & (samples > 0)
     bad_stats = ~ok.all(axis=(1, 2))
     valid = int(np.argmax(bad_stats)) if bad_stats.any() else len(records)
-    labels = np.array([(rec.label.pt, rec.label.pr) for rec in records[:valid]])
-    labels = labels.reshape(valid, 2, samples.shape[2])
-    outages = _outage(samples[:valid], labels[:, 0], labels[:, 1], config).tolist()
-    for lineno, rec, outage in zip(itertools.count(2), records, outages):
+    cols = samples.shape[2]
+    outages = _outage(samples[:valid], labels[:valid, :cols], labels[:valid, cols:], config)
+    label_totals = _row_totals(labels[:valid])
+    for lineno, rec, outage, total in zip(
+        itertools.count(2), records, outages.tolist(), label_totals.tolist()
+    ):
         if abs(outage - rec.achieved_outage) > _OUTAGE_RECHECK_TOL:
             raise InvariantViolationError(
                 f"{path}:{lineno}: stored achieved_outage {rec.achieved_outage} "
@@ -430,7 +438,6 @@ def _check_outages(records: list[DatasetRecord], config: SystemConfig, path: str
                 f"{path}:{lineno}: label violates the outage cap "
                 f"({outage} > {config.psi_th})"
             )
-        total = rec.label.total_power
         if abs(total - rec.total_power) > 1e-9 * max(1.0, abs(total)):
             raise InvariantViolationError(
                 f"{path}:{lineno}: stored total_power {rec.total_power} "

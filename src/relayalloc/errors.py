@@ -26,7 +26,8 @@ class InvariantViolationError(RelayAllocError):
 
 
 class BudgetExceededError(RelayAllocError):
-    """The solver's evaluation cap was hit before reaching the target resolution."""
+    """The solver's evaluation cap was hit before reaching the target resolution
+    (exit code 6)."""
 
 
 class NonFiniteLossError(RelayAllocError):

@@ -114,13 +114,21 @@ class PowerAllocation:
 
     @property
     def total_power(self) -> float:
-        total = 0.0
-        for a, b in zip(self.pt, self.pr):
-            total += a + b
-        return total
+        return float(_row_totals(self.as_vector()))
 
     def as_vector(self) -> tuple[float, ...]:
         return (*self.pt, *self.pr)
+
+
+def _row_totals(vec) -> np.ndarray:
+    """Total power of (..., 2T) vectors (pt_1..pt_T, pr_1..pr_T), summed as
+    ``(pt_1 + pr_1) + (pt_2 + pr_2) + ...`` from left to right."""
+    vec = np.asarray(vec, dtype=float)
+    t = vec.shape[-1] // 2
+    total = np.zeros(vec.shape[:-1])
+    for j in range(t):
+        total = total + (vec[..., j] + vec[..., t + j])
+    return total
 
 
 class FeasibilityResult(NamedTuple):
@@ -231,17 +239,12 @@ def _scan(stats, config, pt_axes, pr_axes):
         return None
     masked = np.where(feasible, total, np.inf)
     mn = masked.min()
-    best_vec = None
-    pr_lens = [len(g) for g in pr_axes]
-    for cell in np.argwhere(masked == mn):
-        pts, prs = [], []
-        for i, k in enumerate(cell):
-            pts.append(float(pt_axes[i][k // pr_lens[i]]))
-            prs.append(float(pr_axes[i][k % pr_lens[i]]))
-        vec = (*pts, *prs)
-        if best_vec is None or vec < best_vec:
-            best_vec = vec
-    return float(mn), best_vec
+    ties = [
+        (*(float(pt_axes[i][k // len(pr_axes[i])]) for i, k in enumerate(cell)),
+         *(float(pr_axes[i][k % len(pr_axes[i])]) for i, k in enumerate(cell)))
+        for cell in np.argwhere(masked == mn)
+    ]
+    return float(mn), min(ties)
 
 
 def _check_gate(stats: np.ndarray, config: SystemConfig) -> None:
@@ -336,16 +339,11 @@ def solve(
             break
         level += 1
         offsets = np.linspace(-1.0, 1.0, refine_points)
-        pt_axes = [
-            np.unique(np.clip(vec[i] + offsets * config.pt_max * shrink**level, 0.0, config.pt_max))
-            for i in range(t_dims)
+        axes = [
+            np.unique(np.clip(x + offsets * cap * shrink**level, 0.0, cap))
+            for x, cap in zip(vec, caps)
         ]
-        pr_axes = [
-            np.unique(
-                np.clip(vec[t_dims + i] + offsets * config.pr_max * shrink**level, 0.0, config.pr_max)
-            )
-            for i in range(t_dims)
-        ]
+        pt_axes, pr_axes = axes[:t_dims], axes[t_dims:]
     return _result_from_vec(stats, config, best[0], best[1], delta, evaluations, level)
 
 

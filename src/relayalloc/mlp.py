@@ -5,7 +5,14 @@ The network maps a flattened 4xT statistics matrix (normalized by the
 sampling range) to 2T normalized power levels. The sigmoid is applied
 after every layer *including the output layer*, so raw outputs live in
 (0, 1) and decode to powers via the caps. Chaining
-``encode_input -> forward -> decode_output`` is the whole inference path.
+``encode_input -> forward -> decode_output`` is the whole inference path,
+and the first two take whole stacks of samples too.
+
+Inference is batch-invariant: row i of a ``forward`` batch is bitwise the
+single-row answer. BLAS gemm picks different kernels for one row and for
+many, so ``forward`` multiplies each row as its own one-row product.
+Training (``gradients``, ``mse_loss``) needs no batch invariance and
+multiplies each batch with one gemm, the faster product.
 
 Everything here is plain numpy; gradients are computed analytically by
 backpropagation and verified against central differences in the tests.
@@ -179,25 +186,23 @@ def init_mlp(layer_dims, seed: int, use_bias: bool = True) -> MlpParams:
 def init_adam(params: MlpParams, step_size: float = 1e-4, beta1: float = 0.9,
               beta2: float = 0.999, epsilon: float = 1e-8) -> AdamState:
     """Zeroed moment estimates shaped like the parameters."""
-    return AdamState(
-        m_weights=[np.zeros_like(w) for w in params.weights],
-        v_weights=[np.zeros_like(w) for w in params.weights],
-        m_biases=[np.zeros_like(b) for b in params.biases],
-        v_biases=[np.zeros_like(b) for b in params.biases],
-        step=0,
-        step_size=step_size,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
-    )
+    w, b = params.weights, params.biases
+    moments = ([np.zeros_like(x) for x in arrays] for arrays in (w, w, b, b))
+    return AdamState(*moments, step=0, step_size=step_size, beta1=beta1, beta2=beta2,
+                     epsilon=epsilon)
 
 
-def _forward_acts(params: MlpParams, x: np.ndarray, counter: OpCounter | None = None):
-    """All layer activations for a 2-d input; acts[0] is the input."""
+def _forward_acts(params: MlpParams, x: np.ndarray, invariant: bool,
+                  counter: OpCounter | None = None):
+    """All layer activations for a 2-d input; acts[0] is the input.
+
+    ``invariant`` multiplies each row of a C-contiguous ``x`` as its own
+    one-row product, so a row's result ignores the batch; otherwise one gemm.
+    """
     acts = [x]
     a = x
     for w, b in zip(params.weights, params.biases):
-        z = a @ w.T
+        z = np.matmul(a[:, None, :], w.T)[:, 0, :] if invariant else a @ w.T
         if params.use_bias:
             z = z + b
         a = sigmoid(z)
@@ -209,15 +214,16 @@ def _forward_acts(params: MlpParams, x: np.ndarray, counter: OpCounter | None = 
 
 
 def forward(params: MlpParams, x, counter: OpCounter | None = None) -> np.ndarray:
-    """Network output for a single input vector or a (D, n_in) batch."""
+    """Network output for a single input vector or a (D, n_in) batch;
+    batch-invariant (see the module docstring)."""
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
-    arr = np.atleast_2d(arr)
+    arr = np.ascontiguousarray(np.atleast_2d(arr))
     if arr.shape[1] != params.n_in:
         raise InvalidArgumentError(
             f"input width {arr.shape[1]} does not match layer_dims[0]={params.n_in}"
         )
-    out = _forward_acts(params, arr, counter)[-1]
+    out = _forward_acts(params, arr, invariant=True, counter=counter)[-1]
     return out[0] if single else out
 
 
@@ -227,15 +233,7 @@ def flop_count(layer_dims) -> int:
     return sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
 
 
-def mse_loss(params: MlpParams, batch: Batch) -> float:
-    """(1/D) sum of squared output errors over the batch."""
-    out = forward(params, batch.inputs)
-    diff = out - batch.targets
-    return float(np.sum(diff * diff) / batch.size)
-
-
-def gradients(params: MlpParams, batch: Batch) -> Gradients:
-    """Backpropagated loss gradients; loss comes for free from the same pass."""
+def _check_widths(params: MlpParams, batch: Batch) -> None:
     if batch.inputs.shape[1] != params.n_in:
         raise InvalidArgumentError(
             f"input width {batch.inputs.shape[1]} does not match layer_dims[0]={params.n_in}"
@@ -244,7 +242,20 @@ def gradients(params: MlpParams, batch: Batch) -> Gradients:
         raise InvalidArgumentError(
             f"target width {batch.targets.shape[1]} does not match layer_dims[-1]={params.n_out}"
         )
-    acts = _forward_acts(params, batch.inputs)
+
+
+def mse_loss(params: MlpParams, batch: Batch) -> float:
+    """(1/D) sum of squared output errors over the batch, from the training
+    pass: bitwise the ``loss`` of ``gradients`` on the same batch."""
+    _check_widths(params, batch)
+    diff = _forward_acts(params, batch.inputs, invariant=False)[-1] - batch.targets
+    return float(np.sum(diff * diff) / batch.size)
+
+
+def gradients(params: MlpParams, batch: Batch) -> Gradients:
+    """Backpropagated loss gradients; loss comes for free from the same pass."""
+    _check_widths(params, batch)
+    acts = _forward_acts(params, batch.inputs, invariant=False)
     d = batch.size
     out = acts[-1]
     diff = out - batch.targets
@@ -273,27 +284,23 @@ def adam_step(state: AdamState, params: MlpParams, grads: Gradients):
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
     lr, eps = state.step_size, state.epsilon
-    for i, g in enumerate(grads.d_weights):
-        state.m_weights[i] = b1 * state.m_weights[i] + (1.0 - b1) * g
-        state.v_weights[i] = b2 * state.v_weights[i] + (1.0 - b2) * (g * g)
-        params.weights[i] -= lr * (state.m_weights[i] / c1) / (
-            np.sqrt(state.v_weights[i] / c2) + eps
-        )
+    groups = [(state.m_weights, state.v_weights, params.weights, grads.d_weights)]
     if params.use_bias:
-        for i, g in enumerate(grads.d_biases):
-            state.m_biases[i] = b1 * state.m_biases[i] + (1.0 - b1) * g
-            state.v_biases[i] = b2 * state.v_biases[i] + (1.0 - b2) * (g * g)
-            params.biases[i] -= lr * (state.m_biases[i] / c1) / (
-                np.sqrt(state.v_biases[i] / c2) + eps
-            )
+        groups.append((state.m_biases, state.v_biases, params.biases, grads.d_biases))
+    for m, v, theta, grad in groups:
+        for i, g in enumerate(grad):
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+            theta[i] -= lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + eps)
     return state, params
 
 
 def encode_input(v: np.ndarray, range_hi: float) -> np.ndarray:
-    """Row-major flatten of the 4xT statistics matrix, scaled by range_hi."""
+    """Row-major flatten of the 4xT statistics matrix, scaled by range_hi;
+    a (..., 4, T) stack of matrices gives (..., 4T)."""
     arr = np.asarray(v, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != 4:
-        raise InvalidArgumentError(f"expected a 4xT matrix, got shape {arr.shape}")
+    if arr.ndim < 2 or arr.shape[-2] != 4:
+        raise InvalidArgumentError(f"expected 4xT matrices, got shape {arr.shape}")
     if not (np.isfinite(range_hi) and range_hi > 0):
         raise InvalidArgumentError(f"range_hi must be finite and > 0, got {range_hi!r}")
     if (arr <= 0).any() or (arr > range_hi).any():
@@ -301,16 +308,27 @@ def encode_input(v: np.ndarray, range_hi: float) -> np.ndarray:
             f"statistics entries must lie in (0, {range_hi}], got range "
             f"[{arr.min()}, {arr.max()}]"
         )
-    return arr.reshape(-1) / range_hi
+    return arr.reshape(arr.shape[:-2] + (4 * arr.shape[-1],)) / range_hi
+
+
+def _encode_powers(vec: np.ndarray, pt_max: float, pr_max: float) -> np.ndarray:
+    """(..., 2T) powers, pt then pr, divided by their caps."""
+    caps = np.repeat([pt_max, pr_max], vec.shape[-1] // 2)
+    if (vec > caps).any():
+        raise InvalidArgumentError("allocation exceeds the power caps")
+    return vec / caps
+
+
+def _decode_powers(raw: np.ndarray, pt_max: float, pr_max: float) -> np.ndarray:
+    """(..., 2T) raw outputs in [0, 1] -> powers, pt then pr."""
+    if (raw < 0).any() or (raw > 1).any():
+        raise InvalidArgumentError("raw outputs must lie in [0, 1]")
+    return raw * np.repeat([pt_max, pr_max], raw.shape[-1] // 2)
 
 
 def encode_target(allocation: PowerAllocation, pt_max: float, pr_max: float) -> np.ndarray:
     """Normalize an allocation into [0, 1]^(2T) by the power caps."""
-    pt = np.asarray(allocation.pt, dtype=float)
-    pr = np.asarray(allocation.pr, dtype=float)
-    if (pt > pt_max).any() or (pr > pr_max).any():
-        raise InvalidArgumentError("allocation exceeds the power caps")
-    return np.concatenate([pt / pt_max, pr / pr_max])
+    return _encode_powers(np.array(allocation.as_vector(), dtype=float), pt_max, pr_max)
 
 
 def decode_output(raw: np.ndarray, pt_max: float, pr_max: float) -> PowerAllocation:
@@ -318,13 +336,9 @@ def decode_output(raw: np.ndarray, pt_max: float, pr_max: float) -> PowerAllocat
     arr = np.asarray(raw, dtype=float)
     if arr.ndim != 1 or arr.size % 2 != 0:
         raise InvalidArgumentError(f"expected a flat even-length vector, got shape {arr.shape}")
-    if (arr < 0).any() or (arr > 1).any():
-        raise InvalidArgumentError("raw outputs must lie in [0, 1]")
+    vec = _decode_powers(arr, pt_max, pr_max).tolist()
     t = arr.size // 2
-    return PowerAllocation(
-        pt=tuple(float(x) for x in arr[:t] * pt_max),
-        pr=tuple(float(x) for x in arr[t:] * pr_max),
-    )
+    return PowerAllocation(pt=tuple(vec[:t]), pr=tuple(vec[t:]))
 
 
 def save_model(params: MlpParams, normalization: NormalizationSpec, path: str) -> None:
@@ -380,8 +394,6 @@ def load_model(path: str) -> tuple[MlpParams, NormalizationSpec]:
                 raise SchemaError(f"{path}: layer expects {fan_out} biases, got {b.size}")
             weights.append(w.reshape(fan_out, fan_in))
             biases.append(b)
-        if len(weights) != len(dims) - 1:
-            raise SchemaError(f"{path}: expected {len(dims) - 1} weight blocks")
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"{path}: missing or malformed field: {exc}") from exc
     for arr in (*weights, *biases):

@@ -9,8 +9,11 @@ Records containing an exact-zero label entry are excluded from E with a
 counted warning (division); they only arise at psi_th = 1 where the
 all-zero allocation is optimal.
 
-The oracle comparison checks all network allocations in one outage call,
-and the scale-up repair bisects all violating records in lock step.
+Both metrics run the network once per dataset, on the dataset's column
+views; ``forward`` is batch-invariant, so each row equals the answer to
+that record's single query. The oracle comparison checks all network
+allocations in one outage call, and the scale-up repair bisects all
+violating records in lock step.
 """
 
 from __future__ import annotations
@@ -25,15 +28,15 @@ import numpy as np
 from ._files import atomic_open
 from .data import Dataset
 from .errors import InvalidArgumentError, NonFiniteLossError
-from .gridsearch import PowerAllocation, SystemConfig, _cols, _outage
+from .gridsearch import SystemConfig, _cols, _outage, _row_totals
 from .mlp import (
     Batch,
     MlpParams,
     NormalizationSpec,
+    _decode_powers,
+    _encode_powers,
     adam_step,
-    decode_output,
     encode_input,
-    encode_target,
     forward,
     gradients,
     init_adam,
@@ -119,11 +122,17 @@ def normalization_for(dataset: Dataset) -> NormalizationSpec:
 def dataset_arrays(dataset: Dataset, norm: NormalizationSpec | None = None):
     """Encoded (inputs, targets) matrices for a whole dataset."""
     norm = norm or normalization_for(dataset)
-    x = np.stack([encode_input(rec.sample, norm.range_hi) for rec in dataset.records])
-    y = np.stack(
-        [encode_target(rec.label, norm.pt_max, norm.pr_max) for rec in dataset.records]
+    return (
+        encode_input(dataset.samples, norm.range_hi),
+        _encode_powers(dataset.labels, norm.pt_max, norm.pr_max),
     )
-    return x, y
+
+
+def _predict(params: MlpParams, dataset: Dataset) -> np.ndarray:
+    """Network powers (N, 2T), pt then pr, for every record: one forward call."""
+    norm = normalization_for(dataset)
+    raw = forward(params, encode_input(dataset.samples, norm.range_hi))
+    return _decode_powers(raw, norm.pt_max, norm.pr_max)
 
 
 def train(
@@ -187,27 +196,19 @@ def train(
 
 def relative_error(params: MlpParams, validation: Dataset) -> float:
     """Mean per-entry relative error in original power units."""
-    norm = normalization_for(validation)
-    errors = []
-    skipped = 0
-    for rec in validation.records:
-        label_vec = np.array([*rec.label.pt, *rec.label.pr])
-        if (label_vec == 0.0).any():
-            skipped += 1
-            continue
-        raw = forward(params, encode_input(rec.sample, norm.range_hi))
-        pred = decode_output(raw, norm.pt_max, norm.pr_max)
-        pred_vec = np.array([*pred.pt, *pred.pr])
-        errors.append(np.mean(np.abs(label_vec - pred_vec) / label_vec))
+    labels = validation.labels
+    kept = ~(labels == 0.0).any(axis=1)
+    skipped = len(kept) - int(kept.sum())
     if skipped:
         warnings.warn(
             f"relative_error: excluded {skipped} record(s) with zero label entries",
             RuntimeWarning,
             stacklevel=2,
         )
-    if not errors:
+    if not kept.any():
         raise InvalidArgumentError("no validation records with nonzero labels")
-    return float(np.mean(errors))
+    labels, pred = labels[kept], _predict(params, validation)[kept]
+    return float(np.mean(np.mean(np.abs(labels - pred) / labels, axis=1)))
 
 
 def _relative_gap(ann_total: float, oracle_total: float) -> float:
@@ -270,42 +271,25 @@ def compare_against_labels(
     """
     if repair not in (None, "scale-up"):
         raise InvalidArgumentError(f"unknown repair mode {repair!r}")
-    norm = normalization_for(dataset)
     config = dataset.config
-    records = dataset.records
-    allocs = [
-        decode_output(
-            forward(params, encode_input(rec.sample, norm.range_hi)), norm.pt_max, norm.pr_max
-        )
-        for rec in records
-    ]
     cols = _cols(config)
-    samples = np.array([rec.sample for rec in records]).reshape(len(records), 4, cols)
-    vec = np.array([a.as_vector() for a in allocs]).reshape(len(records), 2 * cols)
+    samples = dataset.samples
+    vec = _predict(params, dataset)
     outage = _outage(samples, vec[:, :cols], vec[:, cols:], config)
-    repaired = np.zeros(len(records), dtype=bool)
+    repaired = np.zeros(len(vec), dtype=bool)
     bad = np.flatnonzero(outage > config.psi_th)
     if repair == "scale-up" and len(bad):
         fixed, new = _scale_up_repair(vec[bad], samples[bad], config)
         rows = bad[fixed]
+        vec[rows] = new
         outage[rows] = _outage(samples[rows], new[:, :cols], new[:, cols:], config)
         repaired[rows] = True
-        for i, v in zip(rows, new.tolist()):
-            allocs[i] = PowerAllocation(pt=tuple(v[:cols]), pr=tuple(v[cols:]))
-    rows = []
-    for i, (rec, alloc) in enumerate(zip(records, allocs)):
-        ann_outage = float(outage[i])
-        rows.append(
-            ComparisonRow(
-                sample_id=i,
-                ann_total=alloc.total_power,
-                oracle_total=rec.total_power,
-                gap=_relative_gap(alloc.total_power, rec.total_power),
-                ann_outage=ann_outage,
-                violated=ann_outage > config.psi_th,
-                repaired=bool(repaired[i]),
-            )
-        )
+    columns = zip(_row_totals(vec).tolist(), dataset.totals.tolist(), outage.tolist(),
+                  repaired.tolist())
+    rows = [
+        ComparisonRow(i, ann, oracle, _relative_gap(ann, oracle), out, out > config.psi_th, fix)
+        for i, (ann, oracle, out, fix) in enumerate(columns)
+    ]
     return ComparisonReport(
         rows=tuple(rows),
         mean_gap=float(np.mean([r.gap for r in rows])),

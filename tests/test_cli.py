@@ -188,6 +188,28 @@ def test_missing_file_exits_4(tmp_path, capsys):
     bad.write_text("\n".join([header, record, *rest]) + "\n")
     assert main(["train", "--data", str(bad)]) == 4
     assert ":2: malformed record" in capsys.readouterr().err
+    doc = json.loads(header)
+    doc["config"]["t"] = 1.5  # a header config that SystemConfig refuses
+    bad.write_text("\n".join([json.dumps(doc), *good.read_text().splitlines()[1:]]) + "\n")
+    model = tmp_path / "model.json"
+    assert main(["train", "--data", str(good), "--hidden", "4", "--epochs", "1",
+                 "--model-out", str(model), "--history-out", str(tmp_path / "h.csv")]) == 0
+    assert main(["train", "--data", str(bad)]) == 4
+    assert main(["eval", "--model", str(model), "--data", str(bad)]) == 4
+    assert capsys.readouterr().err.count(": malformed header: t must be int") == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["gen-data", "--active", "3", "--subcarriers", "4", "--count", "2"],
+    ["solve", "--max-evaluations", "10", "--stats", "1,1,1,1", "--stats", "2,2,1,1"],
+])
+def test_search_budget_exceeded_exits_6(tmp_path, capsys, args):
+    out = tmp_path / "out.json"
+    assert main([*args, "--out", str(out)]) == 6
+    err = capsys.readouterr().err
+    assert "search budget exceeded: level 0 needs" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_numeric_failure_exits_5(tmp_path, monkeypatch):
@@ -273,6 +295,23 @@ def test_eval_limit_validation(tmp_path):
                  "--out", str(tmp_path / "c.csv"), "--limit", "1"]) == 0
     assert main(["eval", "--model", str(model), "--data", str(val),
                  "--out", str(tmp_path / "c.csv"), "--limit", "99"]) == 2
+
+
+@pytest.mark.parametrize("repair", [[], ["--repair", "scale-up"]])
+def test_eval_limit_rows_equal_the_full_run(tmp_path, repair):
+    data = tmp_path / "train.jsonl"
+    val = tmp_path / "val.jsonl"
+    assert main(gen_args(data, val, count=30)) == 0
+    model = tmp_path / "model.json"
+    assert main(train_args(data, val, model, tmp_path / "h.csv", hidden="64,64", epochs="40")) == 0
+    full, part = tmp_path / "full.csv", tmp_path / "part.csv"
+    base = ["eval", "--model", str(model), "--data", str(data), *repair]
+    assert main([*base, "--out", str(full)]) == 0
+    full_rows = full.read_text().splitlines()
+    assert len(full_rows) == 31
+    for k in (1, 7):
+        assert main([*base, "--out", str(part), "--limit", str(k)]) == 0
+        assert part.read_text().splitlines() == full_rows[: k + 1]  # header + k rows, bitwise
 
 
 def test_profile_bundles_defaults_under_flags(tmp_path):

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relayalloc import (
     Dataset,
@@ -203,6 +205,9 @@ def test_load_rejects_unknown_format(tmp_path):
 
 def test_load_rejects_missing_records(tmp_path):
     corrupt_and_expect(tmp_path, lambda ls: ls[:-1], InvariantViolationError)
+    corrupt_and_expect(  # a header that promises no records, and none
+        tmp_path, lambda ls: [replace_field(ls[0], "generation.count", 0)], InvariantViolationError
+    )
 
 
 def test_load_rejects_non_json_record(tmp_path):
@@ -310,6 +315,14 @@ def test_chunked_draws_match_one_at_a_time(config, count, range_lo, range_hi):
         assert rejected == ref_rejected
 
 
+def replace_field(line: str, field: str, value) -> str:
+    """One JSON line with ``field`` (``section.name`` inside a header section) set."""
+    doc = json.loads(line)
+    *section, name = field.split(".")
+    (doc[section[0]] if section else doc)[name] = value
+    return json.dumps(doc)
+
+
 def corrupt_records(tmp_path, edits):
     """Apply field edits {line number: (field, value)} to a saved dataset."""
     dataset = tiny_dataset(count=4, seed=47)
@@ -317,9 +330,7 @@ def corrupt_records(tmp_path, edits):
     save_dataset(dataset, str(path))
     lines = path.read_text().splitlines()
     for lineno, (field, value) in edits.items():
-        doc = json.loads(lines[lineno - 1])
-        doc[field] = value
-        lines[lineno - 1] = json.dumps(doc)
+        lines[lineno - 1] = replace_field(lines[lineno - 1], field, value)
     bad = tmp_path / "bad.jsonl"
     bad.write_text("\n".join(lines) + "\n")
     return str(bad)
@@ -346,12 +357,95 @@ def corrupt_records(tmp_path, edits):
         ({4: ("v", [["x"], [1.0], [1.0], [1.0]])}, SchemaError, 4),
         # a bad total on line 2 precedes a non-numeric field on line 3
         ({2: ("total_power", 1.0), 3: ("evaluations", "x")}, InvariantViolationError, 2),
+        # wrong JSON types are refused, not coerced
+        ({3: ("evaluations", 1.5)}, SchemaError, 3),
+        ({3: ("evaluations", True)}, SchemaError, 3),
+        ({2: ("achieved_outage", "0.001")}, SchemaError, 2),
+        # header faults (line 1) precede every record fault
+        ({1: ("config.t", 1.5), 2: ("total_power", 1.0)}, SchemaError, 1),
+        ({1: ("config.psi_th", 7.0)}, SchemaError, 1),
+        ({1: ("config.n", True)}, SchemaError, 1),
+        ({1: ("generation.count", "4")}, SchemaError, 1),
+        ({1: ("generation.rejected", 0.5)}, SchemaError, 1),
+        ({1: ("generation.range_hi", "5.0")}, SchemaError, 1),
+        ({1: ("generation.seed", 4.5)}, SchemaError, 1),
+        ({1: ("generation.sampler", 3)}, SchemaError, 1),
     ],
 )
 def test_load_reports_the_first_corrupt_record(tmp_path, edits, exc, first):
     path = corrupt_records(tmp_path, edits)
-    with pytest.raises(exc, match=f"^{re.escape(path)}:{first}: "):
+    where = f"{first}: " if first > 1 else " malformed header: "
+    with pytest.raises(exc, match=f"^{re.escape(path)}:{where}"):
         load_dataset(path)
+
+
+# Each field of a saved file and its JSON type; "?" marks a field that may be null.
+FIELD_TYPES = {
+    1: {"format": "str", "config": "object", "generation": "object",
+        "config.n": "int", "config.t": "int", "config.m": "int", "config.s": "num",
+        "config.psi_th": "num", "config.pt_max": "num", "config.pr_max": "num",
+        "config.outage_mode": "str", "generation.sampler": "str",
+        "generation.range_lo": "num", "generation.range_hi": "num",
+        "generation.count": "int", "generation.seed": "int?", "generation.delta": "num",
+        "generation.rejected": "int", "generation.split_role": "str?",
+        "generation.split_seed": "int?"},
+    2: {"v": "list", "pt": "list", "pr": "list", "total_power": "num",
+        "achieved_outage": "num", "evaluations": "int"},
+}
+WRONG_VALUES = {  # JSON type -> values of another type
+    "str": st.one_of(st.integers(), st.floats(), st.lists(st.text(max_size=3), max_size=2)),
+    "num": st.one_of(st.text(max_size=5), st.lists(st.floats(), max_size=2)),
+    "int": st.one_of(
+        st.text(max_size=5), st.lists(st.integers(), max_size=2),
+        st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: x != int(x)),
+    ),
+    "list": st.one_of(st.text(max_size=5), st.integers(), st.floats()),
+    "object": st.one_of(st.text(max_size=5), st.integers(), st.lists(st.integers(), max_size=2)),
+}
+
+
+@st.composite
+def wrong_typed_field(draw):
+    line = draw(st.sampled_from(sorted(FIELD_TYPES)))
+    field = draw(st.sampled_from(sorted(FIELD_TYPES[line])))
+    kind = FIELD_TYPES[line][field]
+    wrong = WRONG_VALUES[kind.rstrip("?")] | st.booleans()
+    if not kind.endswith("?"):
+        wrong = wrong | st.none()
+    return line, field, draw(wrong)
+
+
+@pytest.fixture(scope="module")
+def saved_split_lines(tmp_path_factory):
+    train_part, _ = split(tiny_dataset(count=5, seed=51), 2, seed=52)
+    path = tmp_path_factory.mktemp("saved") / "train.jsonl"
+    save_dataset(train_part, str(path))
+    return path.read_text().splitlines()
+
+
+@settings(max_examples=300, deadline=None)
+@given(edit=wrong_typed_field(), record=st.integers(0, 2))
+def test_load_refuses_any_wrong_typed_field(saved_split_lines, tmp_path_factory, edit, record):
+    line, field, value = edit
+    lines = list(saved_split_lines)
+    index = 0 if line == 1 else 1 + record
+    lines[index] = replace_field(lines[index], field, value)
+    path = tmp_path_factory.getbasetemp() / "wrong_typed.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises((SchemaError, InvariantViolationError)):
+        load_dataset(str(path))
+
+
+def test_column_views_match_the_records():
+    dataset = tiny_dataset(count=3, seed=53)
+    records = dataset.records
+    assert np.array_equal(dataset.samples, np.stack([r.sample for r in records]))
+    assert np.array_equal(dataset.labels, [[*r.label.pt, *r.label.pr] for r in records])
+    assert dataset.totals.tolist() == [r.total_power for r in records]
+    for column in (dataset.samples, dataset.labels, dataset.totals):
+        with pytest.raises(ValueError):
+            column[0] = 0.0
+    assert dataset.samples is dataset.samples  # built once
 
 
 def test_load_rejects_non_finite_statistics_before_later_faults(tmp_path):

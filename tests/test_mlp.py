@@ -146,13 +146,25 @@ def test_forward_shapes_and_row_consistency():
     batch = rng.uniform(0, 1, size=(5, 8))
     out = forward(params, batch)
     assert out.shape == (5, 4)
-    # matmul kernels may differ between batch and single-row shapes, so
-    # agreement is to rounding, not bitwise
     for row_in, row_out in zip(batch, out):
-        assert np.allclose(forward(params, row_in), row_out, rtol=1e-13, atol=1e-15)
+        assert np.array_equal(forward(params, row_in), row_out)
     assert ((out > 0) & (out < 1)).all()
     with pytest.raises(InvalidArgumentError):
         forward(params, np.zeros(7))
+
+
+@pytest.mark.parametrize("dims", [[8, 64, 64, 4], [8, *[128] * 6, 4]])
+def test_forward_is_batch_invariant(dims):
+    params = init_mlp(dims, seed=4)
+    rng = np.random.default_rng(5)
+    for b in params.biases:
+        b[:] = rng.normal(size=b.shape)
+    inputs = rng.uniform(0, 1, size=(500, dims[0]))
+    rows = np.stack([forward(params, x) for x in inputs])
+    for size in (1, 2, 25, 500):
+        assert np.array_equal(forward(params, inputs[:size]), rows[:size])  # bitwise
+    # a batch that is not C-contiguous answers the same
+    assert np.array_equal(forward(params, np.asfortranarray(inputs)), rows)
 
 
 def test_flop_count_matches_instrumented_forward():
@@ -189,6 +201,7 @@ def test_backprop_matches_central_differences(dims):
         targets=rng.uniform(0, 1, size=(7, dims[-1])),
     )
     grads = gradients(params, batch)
+    assert mse_loss(params, batch) == grads.loss  # the same training pass, bitwise
     eps = 1e-6
     for layer in range(len(params.weights)):
         w = params.weights[layer]
@@ -258,6 +271,10 @@ def test_encode_input_layout_and_validation():
     v = np.arange(1, 9, dtype=float).reshape(4, 2)  # 4x2 statistics matrix
     x = encode_input(v, range_hi=8.0)
     assert (x == v.reshape(-1) / 8.0).all()  # row-major flatten
+    stack = np.stack([v, v / 2.0, v / 4.0]).reshape(3, 1, 4, 2)
+    assert np.array_equal(encode_input(stack, 8.0)[:, 0], [x, x / 2.0, x / 4.0])
+    with pytest.raises(InvalidArgumentError):
+        encode_input(stack * 2.0, range_hi=8.0)  # one entry above the range
     with pytest.raises(InvalidArgumentError):
         encode_input(v.T, range_hi=8.0)
     with pytest.raises(InvalidArgumentError):

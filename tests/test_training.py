@@ -177,6 +177,19 @@ def test_relative_error_excludes_zero_labels_with_warning():
             relative_error(model, all_zero)
 
 
+def test_relative_error_matches_per_record_reference():
+    dataset = tiny_dataset(count=12)
+    model = init_mlp([4, 16, 16, 2], seed=5)
+    norm = normalization_for(dataset)
+    errors = []
+    for rec in dataset.records:
+        label = np.array([*rec.label.pt, *rec.label.pr])
+        pred = decode_output(forward(model, encode_input(rec.sample, norm.range_hi)),
+                             norm.pt_max, norm.pr_max)
+        errors.append(np.mean(np.abs(label - np.array([*pred.pt, *pred.pr])) / label))
+    assert relative_error(model, dataset) == float(np.mean(errors))  # bitwise
+
+
 def test_comparison_report_flags_violations_and_repairs():
     tight = SystemConfig(n=2, t=1, m=2, psi_th=1e-2, pt_max=20.0, pr_max=20.0)
     dataset = build_dataset(tight, 6, 0.5, 5.0, 311, 1e-2, solver_kwargs=SOLVER)
