@@ -54,7 +54,6 @@ from .mlp import (
     Gradients,
     MlpParams,
     NormalizationSpec,
-    OpCounter,
     adam_step,
     decode_output,
     encode_input,
@@ -131,7 +130,7 @@ __all__ = [
     "save_dataset", "load_dataset",
     # network
     "MODEL_FORMAT", "MlpParams", "AdamState", "Gradients", "Batch",
-    "NormalizationSpec", "OpCounter",
+    "NormalizationSpec",
     "sigmoid", "init_mlp", "init_adam", "forward", "mse_loss", "gradients",
     "adam_step", "flop_count", "encode_input", "encode_target", "decode_output",
     "save_model", "load_model",

@@ -333,7 +333,7 @@ def load_dataset(path: str) -> Dataset:
     try:
         config = SystemConfig(**_typed(SystemConfig, header["config"]))
         gen = GenerationSpec(**_typed(GenerationSpec, header["generation"]))
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers InvalidArgumentError
+    except _MALFORMED as exc:
         raise SchemaError(f"{path}: malformed header: {exc}") from exc
 
     body = [ln for ln in lines[1:] if ln.strip()]
@@ -356,7 +356,9 @@ def load_dataset(path: str) -> Dataset:
     return dataset
 
 
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "None": type(None)}
+_JSON_TYPES = {"int": {int}, "float": {int, float}, "str": {str}, "None": {type(None)}}
+# bad JSON fields raise these; OverflowError: an integer too large for a float64
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 
 
 def _typed(cls, doc: dict) -> dict:
@@ -366,11 +368,25 @@ def _typed(cls, doc: dict) -> dict:
     if not isinstance(doc, dict):
         raise TypeError(f"expected a JSON object, got {doc!r}")
     for f in fields(cls):
-        value = doc.get(f.name)
-        kinds = tuple(_JSON_TYPES[k] for k in f.type.split(" | ") if k in _JSON_TYPES)
-        if f.name in doc and (isinstance(value, bool) or not isinstance(value, kinds)):
-            raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
+        kinds = {t for k in f.type.split(" | ") for t in _JSON_TYPES.get(k, ())}
+        if f.name in doc and type(doc[f.name]) not in kinds:
+            raise TypeError(f"{f.name} must be {f.type}, got {doc[f.name]!r}")
     return doc
+
+
+def _numbers(values, ndim: int, kind: str = "float") -> np.ndarray:
+    """``values``, JSON lists nested ``ndim`` deep, as an array, if every
+    entry has the JSON type ``kind`` under the rule of ``_typed``;
+    TypeError otherwise (strings and booleans are refused, not coerced)."""
+    entries = [values]
+    for _ in range(ndim):
+        if any(type(x) is not list for x in entries):
+            raise TypeError(f"expected lists nested {ndim} deep")
+        entries = list(itertools.chain.from_iterable(entries))
+    wrong = set(map(type, entries)) - _JSON_TYPES[kind]
+    if wrong:
+        raise TypeError(f"expected {kind} entries, got {', '.join(t.__name__ for t in wrong)}")
+    return np.array(values, dtype=float if kind == "float" else int)
 
 
 def _read_record(
@@ -382,8 +398,9 @@ def _read_record(
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
     try:
-        sample = np.asarray(doc["v"], dtype=float)
-        label = PowerAllocation(pt=tuple(doc["pt"]), pr=tuple(doc["pr"]))
+        sample = _numbers(doc["v"], 2)
+        label = PowerAllocation(pt=tuple(_numbers(doc["pt"], 1).tolist()),
+                                pr=tuple(_numbers(doc["pr"], 1).tolist()))
         scalars = _typed(DatasetRecord, {
             name: doc[name] for name in ("total_power", "achieved_outage", "evaluations")
         })
@@ -394,7 +411,7 @@ def _read_record(
             achieved_outage=float(scalars["achieved_outage"]),
             evaluations=scalars["evaluations"],
         )
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers InvalidArgumentError
+    except _MALFORMED as exc:
         raise SchemaError(f"{path}:{lineno}: malformed record: {exc}") from exc
     expect_cols = _cols(config)
     if rec.sample.shape != (4, expect_cols):

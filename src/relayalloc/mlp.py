@@ -23,7 +23,11 @@ Loss convention: for a batch of D samples,
 
 (sum over the 2T output entries, mean over the batch only).
 
-Adam, per step, with gradient g and step counter t:
+Parameter layout: one contiguous vector per network, every weight matrix
+(row-major) then every bias vector, in layer order. ``MlpParams.flat`` is
+that vector and its ``weights[r]``/``biases[r]`` are views of it;
+``Gradients.flat`` and Adam's ``m``/``v`` share the layout, so Adam is a
+few whole-vector operations, with gradient g and step counter t:
 
     m <- beta1 m + (1 - beta1) g
     v <- beta2 v + (1 - beta2) g*g
@@ -32,18 +36,19 @@ Adam, per step, with gradient g and step counter t:
 
 Cost accounting: one forward pass of one sample through layer r costs
 rho_r * rho_{r+1} multiply-accumulates plus rho_{r+1} activations;
-``flop_count`` totals that over layers and the instrumented forward pass
-counts the same quantities at run time.
+``flop_count`` totals that over layers.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from ._files import atomic_open
+from .data import _MALFORMED, _numbers, _typed
 from .errors import InvalidArgumentError, SchemaError
 from .gridsearch import PowerAllocation
 
@@ -52,14 +57,30 @@ _SIGMOID_SAT = 40.0  # |z| beyond which the sigmoid is saturated in float64
 MODEL_FORMAT = "relay-mlp-v1"
 
 
+def _pack(weights, biases, flat=None) -> tuple[np.ndarray, list, list]:
+    """``flat`` (by default a new vector holding copies of the arrays) and
+    its views shaped like ``weights``, then like ``biases``."""
+    arrays = [np.asarray(a, dtype=float) for a in (*weights, *biases)]
+    if flat is None:
+        flat = np.concatenate([a.reshape(-1) for a in arrays])
+    ends = itertools.accumulate(a.size for a in arrays)
+    views = [flat[end - a.size : end].reshape(a.shape) for a, end in zip(arrays, ends)]
+    return flat, views[: len(weights)], views[len(weights) :]
+
+
 @dataclass
 class MlpParams:
-    """Weights and biases; weights[r] has shape (rho_{r+1}, rho_r)."""
+    """weights[r] (rho_{r+1}, rho_r) and biases[r] (rho_{r+1},), views of
+    the parameter vector ``flat``. Construction copies the given arrays
+    into a new ``flat``, so the caller's arrays are not aliased."""
 
     layer_dims: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    use_bias: bool = True
+    flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.flat, self.weights, self.biases = _pack(self.weights, self.biases)
 
     @property
     def n_in(self) -> int:
@@ -72,8 +93,12 @@ class MlpParams:
 
 @dataclass
 class AdamState:
-    """First/second moment estimates and the shared step counter."""
+    """Moment vectors ``m`` and ``v``, laid out like ``MlpParams.flat``, and
+    the shared step counter; ``m_weights[r]``, ``v_weights[r]``,
+    ``m_biases[r]`` and ``v_biases[r]`` are views of ``m`` and ``v``."""
 
+    m: np.ndarray
+    v: np.ndarray
     m_weights: list[np.ndarray]
     v_weights: list[np.ndarray]
     m_biases: list[np.ndarray]
@@ -87,9 +112,17 @@ class AdamState:
 
 @dataclass
 class Gradients:
+    """Loss gradients laid out like ``MlpParams.flat``; arrays are copied
+    into a new ``flat`` unless ``flat`` is given with them as its views."""
+
     d_weights: list[np.ndarray]
     d_biases: list[np.ndarray]
     loss: float
+    flat: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.flat is None:
+            self.flat, self.d_weights, self.d_biases = _pack(self.d_weights, self.d_biases)
 
 
 @dataclass
@@ -113,18 +146,6 @@ class Batch:
         return self.inputs.shape[0]
 
 
-@dataclass
-class OpCounter:
-    """Accumulates multiply-accumulate and activation counts during forward."""
-
-    macs: int = 0
-    activations: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.macs + self.activations
-
-
 @dataclass(frozen=True)
 class NormalizationSpec:
     """Constants that tie a trained model to its data scaling."""
@@ -141,23 +162,16 @@ class NormalizationSpec:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic; exactly 0.0/1.0 beyond |z| = 40.
+    """Numerically stable logistic with one exp: exactly 0.0/1.0 beyond
+    |z| = 40, and NaN stays NaN.
 
-    The saturation guard changes nothing above 1e-17 (sigmoid(40) is within
-    4e-18 of 1) and keeps exp() away from its overflow range.
-    """
+    With e = exp(-|z|) it is 1/(1+e) for z >= 0 and e/(1+e) below; the
+    clip at 40 keeps exp from underflowing and changes nothing above 1e-17
+    (sigmoid(40) is within 4e-18 of 1)."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    hi = z > _SIGMOID_SAT
-    lo = z < -_SIGMOID_SAT
-    mid_pos = ~hi & ~lo & (z >= 0)
-    mid_neg = ~hi & ~lo & (z < 0)
-    out[hi] = 1.0
-    out[lo] = 0.0
-    out[mid_pos] = 1.0 / (1.0 + np.exp(-z[mid_pos]))
-    ez = np.exp(z[mid_neg])
-    out[mid_neg] = ez / (1.0 + ez)
-    return out
+    mag = np.abs(z)
+    e = np.where(mag > _SIGMOID_SAT, 0.0, np.exp(-np.minimum(mag, _SIGMOID_SAT)))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _validate_dims(layer_dims) -> tuple[int, ...]:
@@ -171,29 +185,25 @@ def _validate_dims(layer_dims) -> tuple[int, ...]:
     return dims
 
 
-def init_mlp(layer_dims, seed: int, use_bias: bool = True) -> MlpParams:
+def init_mlp(layer_dims, seed: int) -> MlpParams:
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases."""
     dims = _validate_dims(layer_dims)
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        limit = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return MlpParams(layer_dims=dims, weights=weights, biases=biases, use_bias=use_bias)
+    weights = [rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), size=(fan_out, fan_in))
+               for fan_in, fan_out in zip(dims[:-1], dims[1:])]
+    return MlpParams(layer_dims=dims, weights=weights, biases=[np.zeros(d) for d in dims[1:]])
 
 
 def init_adam(params: MlpParams, step_size: float = 1e-4, beta1: float = 0.9,
               beta2: float = 0.999, epsilon: float = 1e-8) -> AdamState:
-    """Zeroed moment estimates shaped like the parameters."""
-    w, b = params.weights, params.biases
-    moments = ([np.zeros_like(x) for x in arrays] for arrays in (w, w, b, b))
-    return AdamState(*moments, step=0, step_size=step_size, beta1=beta1, beta2=beta2,
-                     epsilon=epsilon)
+    """Zeroed moment vectors laid out like the parameters."""
+    m, m_w, m_b = _pack(params.weights, params.biases, np.zeros_like(params.flat))
+    v, v_w, v_b = _pack(params.weights, params.biases, np.zeros_like(params.flat))
+    return AdamState(m=m, v=v, m_weights=m_w, v_weights=v_w, m_biases=m_b, v_biases=v_b,
+                     step=0, step_size=step_size, beta1=beta1, beta2=beta2, epsilon=epsilon)
 
 
-def _forward_acts(params: MlpParams, x: np.ndarray, invariant: bool,
-                  counter: OpCounter | None = None):
+def _forward_acts(params: MlpParams, x: np.ndarray, invariant: bool):
     """All layer activations for a 2-d input; acts[0] is the input.
 
     ``invariant`` multiplies each row of a C-contiguous ``x`` as its own
@@ -203,17 +213,12 @@ def _forward_acts(params: MlpParams, x: np.ndarray, invariant: bool,
     a = x
     for w, b in zip(params.weights, params.biases):
         z = np.matmul(a[:, None, :], w.T)[:, 0, :] if invariant else a @ w.T
-        if params.use_bias:
-            z = z + b
-        a = sigmoid(z)
-        if counter is not None:
-            counter.macs += x.shape[0] * w.shape[0] * w.shape[1]
-            counter.activations += x.shape[0] * w.shape[0]
+        a = sigmoid(z + b)
         acts.append(a)
     return acts
 
 
-def forward(params: MlpParams, x, counter: OpCounter | None = None) -> np.ndarray:
+def forward(params: MlpParams, x) -> np.ndarray:
     """Network output for a single input vector or a (D, n_in) batch;
     batch-invariant (see the module docstring)."""
     arr = np.asarray(x, dtype=float)
@@ -223,7 +228,7 @@ def forward(params: MlpParams, x, counter: OpCounter | None = None) -> np.ndarra
         raise InvalidArgumentError(
             f"input width {arr.shape[1]} does not match layer_dims[0]={params.n_in}"
         )
-    out = _forward_acts(params, arr, invariant=True, counter=counter)[-1]
+    out = _forward_acts(params, arr, invariant=True)[-1]
     return out[0] if single else out
 
 
@@ -253,7 +258,8 @@ def mse_loss(params: MlpParams, batch: Batch) -> float:
 
 
 def gradients(params: MlpParams, batch: Batch) -> Gradients:
-    """Backpropagated loss gradients; loss comes for free from the same pass."""
+    """Backpropagated loss gradients, written straight into one gradient
+    vector; loss comes for free from the same pass."""
     _check_widths(params, batch)
     acts = _forward_acts(params, batch.inputs, invariant=False)
     d = batch.size
@@ -262,36 +268,26 @@ def gradients(params: MlpParams, batch: Batch) -> Gradients:
     loss = float(np.sum(diff * diff) / d)
     # output layer: dL/dz = (2/D)(out - target) * sigmoid'(z), sigmoid' = a(1-a)
     delta = (2.0 / d) * diff * out * (1.0 - out)
-    n_layers = len(params.weights)
-    d_w = [None] * n_layers
-    d_b = [None] * n_layers
-    for layer in range(n_layers - 1, -1, -1):
-        d_w[layer] = delta.T @ acts[layer]
-        d_b[layer] = delta.sum(axis=0)
+    flat, d_w, d_b = _pack(params.weights, params.biases, np.empty_like(params.flat))
+    for layer in range(len(d_w) - 1, -1, -1):
+        np.matmul(delta.T, acts[layer], out=d_w[layer])
+        np.sum(delta, axis=0, out=d_b[layer])
         if layer > 0:
             a = acts[layer]
             delta = (delta @ params.weights[layer]) * a * (1.0 - a)
-    if not params.use_bias:
-        d_b = [np.zeros_like(b) for b in params.biases]
-    return Gradients(d_weights=d_w, d_biases=d_b, loss=loss)
+    return Gradients(d_weights=d_w, d_biases=d_b, loss=loss, flat=flat)
 
 
 def adam_step(state: AdamState, params: MlpParams, grads: Gradients):
-    """One Adam update, in place; returns the advanced (state, params)."""
+    """One Adam update of the whole parameter vector, in place; returns the
+    advanced (state, params)."""
     state.step += 1
-    t = state.step
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1**t
-    c2 = 1.0 - b2**t
-    lr, eps = state.step_size, state.epsilon
-    groups = [(state.m_weights, state.v_weights, params.weights, grads.d_weights)]
-    if params.use_bias:
-        groups.append((state.m_biases, state.v_biases, params.biases, grads.d_biases))
-    for m, v, theta, grad in groups:
-        for i, g in enumerate(grad):
-            m[i] = b1 * m[i] + (1.0 - b1) * g
-            v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
-            theta[i] -= lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + eps)
+    b1, b2, g = state.beta1, state.beta2, grads.flat
+    state.m[:] = b1 * state.m + (1.0 - b1) * g
+    state.v[:] = b2 * state.v + (1.0 - b2) * (g * g)
+    mhat = state.m / (1.0 - b1**state.step)
+    vhat = state.v / (1.0 - b2**state.step)
+    params.flat -= state.step_size * mhat / (np.sqrt(vhat) + state.epsilon)
     return state, params
 
 
@@ -342,18 +338,15 @@ def decode_output(raw: np.ndarray, pt_max: float, pr_max: float) -> PowerAllocat
 
 
 def save_model(params: MlpParams, normalization: NormalizationSpec, path: str) -> None:
-    """Versioned JSON with row-major float lists; written atomically."""
+    """Versioned JSON with row-major float lists; written atomically.
+    ``use_bias`` is always true, kept so that model files stay unchanged."""
     doc = {
         "format": MODEL_FORMAT,
         "layer_dims": list(params.layer_dims),
-        "use_bias": params.use_bias,
-        "normalization": {
-            "range_hi": normalization.range_hi,
-            "pt_max": normalization.pt_max,
-            "pr_max": normalization.pr_max,
-        },
-        "weights": [[float(x) for x in w.reshape(-1)] for w in params.weights],
-        "biases": [[float(x) for x in b] for b in params.biases],
+        "use_bias": True,
+        "normalization": asdict(normalization),
+        "weights": [w.reshape(-1).tolist() for w in params.weights],
+        "biases": [b.tolist() for b in params.biases],
     }
     with atomic_open(path) as fh:
         json.dump(doc, fh)
@@ -361,7 +354,9 @@ def save_model(params: MlpParams, normalization: NormalizationSpec, path: str) -
 
 
 def load_model(path: str) -> tuple[MlpParams, NormalizationSpec]:
-    """Bit-exact inverse of save_model; refuses unknown formats."""
+    """Bit-exact inverse of save_model; refuses unknown formats and fields
+    of the wrong JSON type (the dataset loader's rule: no strings or
+    booleans for numbers, integers for ``layer_dims``, ``use_bias`` true)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -372,32 +367,20 @@ def load_model(path: str) -> tuple[MlpParams, NormalizationSpec]:
             f"{path}: expected format {MODEL_FORMAT!r}, got {doc.get('format')!r}"
         )
     try:
-        dims = _validate_dims(doc["layer_dims"])
-        use_bias = bool(doc["use_bias"])
-        norm = NormalizationSpec(**doc["normalization"])
-        if len(doc["weights"]) != len(dims) - 1 or len(doc["biases"]) != len(dims) - 1:
-            raise SchemaError(
-                f"{path}: expected {len(dims) - 1} weight and bias blocks, got "
-                f"{len(doc['weights'])} and {len(doc['biases'])}"
-            )
-        weights, biases = [], []
-        for fan_in, fan_out, flat_w, flat_b in zip(
-            dims[:-1], dims[1:], doc["weights"], doc["biases"]
-        ):
-            w = np.asarray(flat_w, dtype=float)
-            if w.size != fan_in * fan_out:
-                raise SchemaError(
-                    f"{path}: layer expects {fan_in * fan_out} weights, got {w.size}"
-                )
-            b = np.asarray(flat_b, dtype=float)
-            if b.size != fan_out:
-                raise SchemaError(f"{path}: layer expects {fan_out} biases, got {b.size}")
-            weights.append(w.reshape(fan_out, fan_in))
-            biases.append(b)
-    except (KeyError, TypeError) as exc:
+        dims = _validate_dims(_numbers(doc["layer_dims"], 1, "int").tolist())
+        if doc["use_bias"] is not True:
+            raise TypeError(f"use_bias must be true, got {doc['use_bias']!r}")
+        norm = NormalizationSpec(**_typed(NormalizationSpec, doc["normalization"]))
+        weights = [_numbers(w, 1) for w in doc["weights"]]
+        biases = [_numbers(b, 1) for b in doc["biases"]]
+        shapes = list(zip(dims[1:], dims[:-1]))
+        sizes = [[a.size for a in arrays] for arrays in (weights, biases)]
+        if sizes != [[i * j for i, j in shapes], list(dims[1:])]:
+            raise SchemaError(f"{path}: weight and bias sizes {sizes} do not fit {dims}")
+        weights = [w.reshape(shape) for w, shape in zip(weights, shapes)]
+    except _MALFORMED as exc:
         raise SchemaError(f"{path}: missing or malformed field: {exc}") from exc
-    for arr in (*weights, *biases):
-        if not np.isfinite(arr).all():
-            raise SchemaError(f"{path}: non-finite parameter values")
-    params = MlpParams(layer_dims=dims, weights=weights, biases=biases, use_bias=use_bias)
+    params = MlpParams(layer_dims=dims, weights=weights, biases=biases)
+    if not np.isfinite(params.flat).all():
+        raise SchemaError(f"{path}: non-finite parameter values")
     return params, norm

@@ -197,6 +197,11 @@ def test_missing_file_exits_4(tmp_path, capsys):
     assert main(["train", "--data", str(bad)]) == 4
     assert main(["eval", "--model", str(model), "--data", str(bad)]) == 4
     assert capsys.readouterr().err.count(": malformed header: t must be int") == 2
+    doc = json.loads(model.read_text())
+    doc["use_bias"] = "false"  # a model field of the wrong JSON type
+    model.write_text(json.dumps(doc))
+    assert main(["eval", "--model", str(model), "--data", str(good)]) == 4
+    assert "use_bias must be true" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [

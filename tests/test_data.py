@@ -316,10 +316,14 @@ def test_chunked_draws_match_one_at_a_time(config, count, range_lo, range_hi):
 
 
 def replace_field(line: str, field: str, value) -> str:
-    """One JSON line with ``field`` (``section.name`` inside a header section) set."""
+    """One JSON line with ``field`` set: ``section.name`` inside a header
+    section, ``v.2.0`` or ``pt.0`` for a nested entry."""
     doc = json.loads(line)
-    *section, name = field.split(".")
-    (doc[section[0]] if section else doc)[name] = value
+    *parents, name = [int(key) if key.isdigit() else key for key in field.split(".")]
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[name] = value
     return json.dumps(doc)
 
 
@@ -370,6 +374,14 @@ def corrupt_records(tmp_path, edits):
         ({1: ("generation.range_hi", "5.0")}, SchemaError, 1),
         ({1: ("generation.seed", 4.5)}, SchemaError, 1),
         ({1: ("generation.sampler", 3)}, SchemaError, 1),
+        # wrong JSON types in nested entries are refused, not coerced
+        ({3: ("v.1.0", "1.0")}, SchemaError, 3),
+        ({2: ("v.0.0", True)}, SchemaError, 2),
+        ({4: ("pt.0", "0.5")}, SchemaError, 4),
+        ({5: ("pr.0", False)}, SchemaError, 5),
+        ({3: ("v.1.0", 10**400)}, SchemaError, 3),  # too large for a float
+        # a bad total on line 2 precedes a string entry on line 3
+        ({2: ("total_power", 1.0), 3: ("v.0.0", "1.0")}, InvariantViolationError, 2),
     ],
 )
 def test_load_reports_the_first_corrupt_record(tmp_path, edits, exc, first):
@@ -390,7 +402,8 @@ FIELD_TYPES = {
         "generation.rejected": "int", "generation.split_role": "str?",
         "generation.split_seed": "int?"},
     2: {"v": "list", "pt": "list", "pr": "list", "total_power": "num",
-        "achieved_outage": "num", "evaluations": "int"},
+        "achieved_outage": "num", "evaluations": "int",
+        "v.0": "list", "v.3.0": "num", "pt.0": "num", "pr.0": "num"},
 }
 WRONG_VALUES = {  # JSON type -> values of another type
     "str": st.one_of(st.integers(), st.floats(), st.lists(st.text(max_size=3), max_size=2)),

@@ -8,7 +8,6 @@ from relayalloc import (
     Gradients,
     InvalidArgumentError,
     MlpParams,
-    OpCounter,
     PowerAllocation,
     SchemaError,
     adam_step,
@@ -118,6 +117,30 @@ def test_sigmoid_is_monotone():
     assert ((out >= 0) & (out <= 1)).all()
 
 
+def two_branch_sigmoid(z):
+    """The logistic as two masked branches, each with its own exp."""
+    out = np.where(z > 40.0, 1.0, 0.0)
+    mid = np.abs(z) <= 40.0
+    pos, neg = mid & (z >= 0), mid & (z < 0)
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    out[neg] = np.exp(z[neg]) / (1.0 + np.exp(z[neg]))
+    return out
+
+
+@pytest.mark.parametrize("shape", [(32, 64), (7,), (3, 5, 4)])
+def test_sigmoid_equals_the_two_branch_form_bitwise(shape):
+    z = np.random.default_rng(17).normal(scale=25.0, size=shape)
+    z.flat[:6] = [40.0, -40.0, np.nextafter(40.0, 50.0), -np.nextafter(40.0, 50.0), 0.0, -0.0]
+    assert sigmoid(z).tobytes() == two_branch_sigmoid(z).tobytes()
+
+
+def test_sigmoid_propagates_nan():
+    z = np.array([np.nan, 0.3, np.nan] * 300)
+    out = sigmoid(z)
+    assert np.isnan(out[np.isnan(z)]).all()
+    assert not np.isnan(out[~np.isnan(z)]).any()
+
+
 def test_init_is_seeded_and_bounded():
     a = init_mlp([8, 64, 64, 4], seed=7)
     b = init_mlp([8, 64, 64, 4], seed=7)
@@ -167,16 +190,9 @@ def test_forward_is_batch_invariant(dims):
     assert np.array_equal(forward(params, np.asfortranarray(inputs)), rows)
 
 
-def test_flop_count_matches_instrumented_forward():
+def test_flop_count_hand_value():
     dims = [8, 64, 64, 4]
-    params = init_mlp(dims, seed=1)
-    per_sample = flop_count(dims)
-    assert per_sample == 8 * 64 + 64 + 64 * 64 + 64 + 64 * 4 + 4
-    counter = OpCounter()
-    forward(params, np.random.default_rng(2).uniform(0, 1, size=(17, 8)), counter)
-    assert counter.total == 17 * per_sample
-    assert counter.macs == 17 * (8 * 64 + 64 * 64 + 64 * 4)
-    assert counter.activations == 17 * (64 + 64 + 4)
+    assert flop_count(dims) == 8 * 64 + 64 + 64 * 64 + 64 + 64 * 4 + 4
 
 
 def test_loss_hand_value():
@@ -228,21 +244,6 @@ def test_backprop_matches_central_differences(dims):
             assert abs(grads.d_biases[layer][j] - numeric) / scale < 1e-4
 
 
-def test_bias_free_network_keeps_biases_zero():
-    params = init_mlp([3, 4, 2], seed=5, use_bias=False)
-    state = init_adam(params, step_size=0.01)
-    rng = np.random.default_rng(6)
-    batch = Batch(
-        inputs=rng.uniform(0, 1, size=(8, 3)),
-        targets=rng.uniform(0, 1, size=(8, 2)),
-    )
-    for _ in range(5):
-        grads = gradients(params, batch)
-        assert all((g == 0.0).all() for g in grads.d_biases)
-        adam_step(state, params, grads)
-    assert all((b == 0.0).all() for b in params.biases)
-
-
 def test_training_step_reduces_loss_on_fixed_batch():
     params = init_mlp([4, 8, 2], seed=9)
     state = init_adam(params, step_size=0.05)
@@ -256,6 +257,73 @@ def test_training_step_reduces_loss_on_fixed_batch():
         adam_step(state, params, gradients(params, batch))
     after = mse_loss(params, batch)
     assert after < before
+
+
+def reference_training(params, batches, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Backprop and Adam on one array per layer and parameter kind."""
+    n = len(params.weights)
+    theta = [w.copy() for w in params.weights] + [b.copy() for b in params.biases]
+    m = [np.zeros_like(x) for x in theta]
+    v = [np.zeros_like(x) for x in theta]
+    for t, batch in enumerate(batches, start=1):
+        acts = [batch.inputs]
+        for w, b in zip(theta[:n], theta[n:]):
+            acts.append(sigmoid(acts[-1] @ w.T + b))
+        out = acts[-1]
+        delta = (2.0 / batch.size) * (out - batch.targets) * out * (1.0 - out)
+        grads = [None] * (2 * n)
+        for layer in reversed(range(n)):
+            grads[layer] = delta.T @ acts[layer]
+            grads[n + layer] = delta.sum(axis=0)
+            a = acts[layer]
+            delta = (delta @ theta[layer]) * a * (1.0 - a)
+        for i, g in enumerate(grads):
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+            mhat, vhat = m[i] / (1.0 - b1**t), v[i] / (1.0 - b2**t)
+            theta[i] = theta[i] - lr * mhat / (np.sqrt(vhat) + eps)
+    return theta, m, v
+
+
+def test_flat_training_equals_per_array_reference_bitwise():
+    params = init_mlp([8, 64, 64, 4], seed=31)
+    rng = np.random.default_rng(32)
+    batches = [Batch(inputs=rng.uniform(0, 1, size=(32, 8)),
+                     targets=rng.uniform(0, 1, size=(32, 4))) for _ in range(200)]
+    theta, m, v = reference_training(params, batches, lr=1e-3)
+    state = init_adam(params, step_size=1e-3)
+    for batch in batches:
+        state, params = adam_step(state, params, gradients(params, batch))
+    for got, want in [
+        (params.weights + params.biases, theta),
+        (state.m_weights + state.m_biases, m),
+        (state.v_weights + state.v_biases, v),
+    ]:
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_parameters_and_moments_are_views_of_one_vector():
+    params = init_mlp([3, 5, 2], seed=1)
+    x = np.full(3, 0.5)
+    before = forward(params, x)
+    params.weights[1][0, 2] += 1.0  # writes through to the network
+    assert forward(params, x)[0] != before[0]
+    assert params.flat[15 + 2] == params.weights[1][0, 2]  # after the 5x3 first layer
+    params.biases[0][4] = 7.0
+    assert params.flat[-3] == 7.0  # the last entry of the first bias block
+    state = init_adam(params)
+    state.m_weights[0][1, 1] = 3.0
+    assert state.m[4] == 3.0
+    for views, vector in [(state.m_weights + state.m_biases, state.m),
+                          (state.v_weights + state.v_biases, state.v),
+                          (params.weights + params.biases, params.flat)]:
+        assert all(view.base is vector for view in views)
+    assert state.m.shape == state.v.shape == params.flat.shape == (3 * 5 + 5 * 2 + 5 + 2,)
+    # construction copies: the caller's arrays are not aliased
+    given = [np.ones((5, 3)), np.ones((2, 5))]
+    built = MlpParams(layer_dims=(3, 5, 2), weights=given, biases=[np.zeros(5), np.zeros(2)])
+    given[0][0, 0] = 9.0
+    assert built.weights[0][0, 0] == 1.0
 
 
 def test_encode_decode_round_trip():
@@ -354,3 +422,40 @@ def test_model_loader_rejects_malformed_files(tmp_path):
     bad.write_text(json.dumps(doc))
     with pytest.raises(SchemaError):
         load_model(str(bad))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("use_bias", "false"),
+        ("use_bias", False),
+        ("use_bias", 1),
+        ("weights.0.0", "0.0083"),
+        ("weights.0.0", True),
+        ("biases.1.0", None),
+        ("layer_dims.1", 8.9),
+        ("layer_dims.1", "8"),
+        ("layer_dims.2", True),
+        ("layer_dims.1", 10**30),
+        pytest.param("weights.0.0", 10**400, id="weights.0.0-too-large-for-float"),
+        ("layer_dims", [[4], [8], [1]]),
+        ("normalization.range_hi", True),
+        ("normalization.pt_max", "5000.0"),
+        ("normalization.pr_max", -1.0),
+    ],
+)
+def test_model_loader_refuses_wrong_typed_fields(tmp_path, field, value):
+    import json
+
+    path = tmp_path / "model.json"
+    save_model(init_mlp([4, 8, 1], seed=2),
+               NormalizationSpec(range_hi=5.0, pt_max=5000.0, pr_max=5000.0), str(path))
+    doc = json.loads(path.read_text())
+    *parents, name = field.split(".")
+    target = doc
+    for key in parents:
+        target = target[int(key) if key.isdigit() else key]
+    target[int(name) if name.isdigit() else name] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError):
+        load_model(str(path))
