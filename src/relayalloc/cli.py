@@ -276,7 +276,8 @@ def _cmd_gen_data(opts: dict, args: argparse.Namespace) -> tuple | None:
         artifacts["dataset"] = opts["out"]
         print(f"wrote {len(dataset)} records")
     print(f"rejected {dataset.gen.rejected} infeasible sample draw(s)")
-    extra = {"rejected": dataset.gen.rejected, "labeled": len(dataset)}
+    extra = {"rejected": dataset.gen.rejected, "labeled": len(dataset),
+             "labeling": dataset.labeling}
     return opts["out"] + ".manifest.json", artifacts, extra
 
 
@@ -367,7 +368,8 @@ def _cmd_solve(opts: dict, args: argparse.Namespace) -> tuple | None:
     with atomic_open(opts["out"]) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-    return opts["out"] + ".manifest.json", {"result": opts["out"]}, {}
+    return opts["out"] + ".manifest.json", {"result": opts["out"]}, {
+        "stop_reason": result.stop_reason}
 
 
 # --------------------------------------------------------------------- eval

@@ -16,10 +16,13 @@ views that the loader's checks, training and evaluation read instead.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import itertools
 import json
+import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -32,17 +35,20 @@ from .errors import (
     SchemaError,
 )
 from .gridsearch import (
+    STOP_REASONS,
     OracleResult,
     PowerAllocation,
     SystemConfig,
+    _batch_size,
     _cols,
     _outage,
     _outage_at_caps,
     _row_totals,
-    solve,
+    _search_options,
+    _solve_batch,
 )
-# Not called here; perfbench/layers.py traces feasibility checks through this name.
-from .gridsearch import feasibility_check  # noqa: F401
+# Not called here; perfbench/layers.py traces these names.
+from .gridsearch import feasibility_check, solve  # noqa: F401
 from .outage import SubcarrierStats
 
 DATASET_FORMAT = "relay-dataset-v1"
@@ -81,6 +87,9 @@ class Dataset:
     config: SystemConfig
     gen: GenerationSpec
     records: tuple[DatasetRecord, ...]
+    # How this process labeled the records, never saved: {"seconds": wall
+    # time, "stop_reasons": {reason: count}}; None for loaded or split sets.
+    labeling: dict | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -174,9 +183,9 @@ def draw_feasible_samples(
     return np.concatenate(kept), rejected
 
 
-def _label_one(args) -> OracleResult:
-    sample, config, delta, solver_kwargs = args
-    return solve(stats_from_sample(sample), config, delta, **solver_kwargs)
+def _label_chunk(args) -> list[OracleResult]:
+    samples, config, delta, solver_kwargs = args
+    return _solve_batch(samples, config, delta, **solver_kwargs)
 
 
 def label_dataset(
@@ -191,26 +200,34 @@ def label_dataset(
 ) -> Dataset:
     """Attach grid-search labels to every sample (all must be feasible).
 
-    ``workers > 1`` labels in a process pool; records keep input order
-    either way and each record is a pure function of its sample, so the
-    parallel result is identical to the sequential one.
+    Samples are solved in contiguous chunks by the lock-step search, each
+    record bitwise the one-sample ``solve``; ``workers > 1`` hands the
+    chunks to a process pool, and records keep input order either way.
+    A failure raises what labeling one sample at a time would: the first
+    failing sample's error. ``progress(done, total)`` is called once per
+    chunk. The dataset's ``labeling`` tells the wall time and stop reasons.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 3 or samples.shape[1] != 4 or samples.shape[2] != config.t:
         raise InvalidArgumentError(
             f"expected samples shaped (count, 4, {config.t}), got {samples.shape}"
         )
-    solver_kwargs = dict(solver_kwargs or {})
-    jobs = [(v, config, delta, solver_kwargs) for v in samples]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_label_one, jobs, chunksize=16))
-    else:
-        results = []
-        for i, job in enumerate(jobs):
-            results.append(_label_one(job))
+    started = time.perf_counter()
+    options = _search_options(solver_kwargs or {})
+    invalid = np.flatnonzero(~(np.isfinite(samples) & (samples > 0)).all(axis=(1, 2)))
+    valid = int(invalid[0]) if len(invalid) else len(samples)
+    size = _batch_size(samples.shape[2], options["grid0"], options["refine_points"])
+    jobs = [(samples[i : min(i + size, valid)], config, delta, options)
+            for i in range(0, valid, size)]
+    results: list[OracleResult] = []
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+    with pool:
+        for chunk in (pool.map if workers > 1 else map)(_label_chunk, jobs):
+            results += chunk
             if progress is not None:
-                progress(i + 1, len(jobs))
+                progress(len(results), len(samples))
+    if valid < len(samples):
+        stats_from_sample(samples[valid])  # raises the error of the invalid statistic
     records = tuple(
         DatasetRecord(
             sample=v,
@@ -224,7 +241,10 @@ def label_dataset(
     if gen is None:
         gen = GenerationSpec("uniform", float(samples.min()), float(samples.max()), 0, None, delta)
     gen = replace(gen, count=len(records), delta=delta)
-    return Dataset(config=config, gen=gen, records=records)
+    stops = collections.Counter(res.stop_reason for res in results)
+    labeling = {"seconds": time.perf_counter() - started,
+                "stop_reasons": {reason: stops[reason] for reason in STOP_REASONS}}
+    return Dataset(config=config, gen=gen, records=records, labeling=labeling)
 
 
 def build_dataset(

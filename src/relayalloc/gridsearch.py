@@ -23,20 +23,41 @@ Two searchers share one grid vocabulary and one tie-breaking rule:
   ``max_levels=0`` and the same grid size, ``solve`` must match it
   bitwise; tests pin that.
 
+Lock-step levels: the multilevel search runs over a stack of instances at
+once (``_solve_batch``). Each level is one scan of every instance still
+refining; each instance stops on its own, when its axes reach the
+resolution, at the caller's ``max_levels`` or at the hard cap of 64
+levels, and ``OracleResult.stop_reason`` says which. ``solve`` is the
+one-instance call and dataset labeling passes chunks of samples; an
+instance's result is bitwise the same alone or in any chunk.
+
 Tie-breaking: among feasible grid points of equal total power, the
 lexicographically smallest vector (pt_1..pt_T, pr_1..pr_T) wins. Both
 searchers compute candidate totals with the same association,
 ``(pt_1 + pr_1) + (pt_2 + pr_2) + ...``, and the same feasibility
 predicate bits, so the rule is exact, not approximate.
 
-Every outage here (grid scan, feasibility gate, result re-check, batches
-of samples) is one call of the single batched kernel
-``outage._block_outage``; ``_scan`` puts each subcarrier's (pt, pr) pair
-grid on its own broadcast axis, so the closed form runs once per pair,
-not once per cell of the product grid.
+Dominance pruning, also exact: before a level forms its product grid, a
+subcarrier's (pt, pr) pair is dropped when another pair on the same
+subcarrier has a q = 1 - Phi at least as large and a cost pt + pr lower
+by more than a rounding margin (``_tie_margin``: about T ulps of the
+largest possible total). The block outage never rises with any q, also
+under IEEE rounding (``outage._combine``), so putting the dominating pair
+in place of the dropped one keeps a feasible cell feasible, and the margin
+makes its rounded total strictly lower, so no tie can favour the dropped
+pair: the optimum never holds one. Pairs within the margin of each other
+are all kept. Repeated axis values, which brackets clipped at 0 or at the
+cap produce, count once.
 
-Evaluation accounting: one "evaluation" is one candidate power vector
-checked against the constraint. ``solve`` never exceeds
+The closed form runs once per level for every (pt, pr) pair of every
+instance (``outage._phi``); the block combination
+(``outage._combine``) runs on the pruned product grids, in groups of
+instances holding at most ``_CELL_BUDGET`` cells. Gates, result
+re-checks and batches of samples call ``outage._block_outage``.
+
+Evaluation accounting: one "evaluation" is one candidate power vector of
+the nominal grid, the product of each axis's distinct values, whether or
+not pruning spared the scan from forming it. ``solve`` never exceeds
 ``grid0^(2T) + levels * refine_points^(2T)`` evaluations and raises
 ``BudgetExceededError`` before starting a level that would cross
 ``max_evaluations``.
@@ -57,7 +78,7 @@ from .errors import (
     InvalidArgumentError,
     NumericConsistencyError,
 )
-from .outage import _block_outage
+from .outage import _block_outage, _combine, _phi
 # Not called here; perfbench/layers.py traces outage calls through these names.
 from .outage import all_active_outage, average_outage, outage_grid  # noqa: F401
 from .saps import enumerate_saps
@@ -66,6 +87,16 @@ OUTAGE_MODES = ("single-sap", "sap-averaged")
 
 _GRID_FLOOR_RATIO = 1e-3
 _HARD_LEVEL_CAP = 64
+# Product-grid cells that one group of instances may hold at once; the
+# scan's temporaries are a few arrays of this many cells.
+_CELL_BUDGET = 1 << 14
+# (pt, pr) pairs of all instances in one chunk of the lock-step search; the
+# closed form and the pruning at each level hold a few arrays this long.
+_PAIR_BUDGET = 1 << 12
+
+# Why a search stopped: every axis reached the requested resolution, the
+# caller's max_levels, or the hard level cap.
+STOP_REASONS = ("resolution", "max_levels", "level_cap")
 
 
 @dataclass(frozen=True)
@@ -145,6 +176,7 @@ class OracleResult:
     accuracy: float
     evaluations: int
     levels: int
+    stop_reason: str  # one of STOP_REASONS
 
 
 def power_axis_grid(cap: float, points: int, floor_ratio: float = _GRID_FLOOR_RATIO) -> np.ndarray:
@@ -217,57 +249,139 @@ def feasibility_check(stats, config: SystemConfig) -> FeasibilityResult:
     return FeasibilityResult(feasible=outage <= config.psi_th, outage=outage)
 
 
-def _scan(stats, config, pt_axes, pr_axes):
-    """One full grid scan; returns the best (total, vector) or None.
+def _tie_margin(config: SystemConfig, t_dims: int) -> float:
+    """A pair cost gap that survives rounding: if c_a < c_b - margin, every
+    cell with pair a totals strictly less than the same cell with pair b.
 
-    Subcarrier i's flattened (pt, pr) pair grid lies along axis i; pair k
-    maps to (pt_axis[k // len(pr)], pr_axis[k % len(pr)]).
+    Totals fold t_dims pair costs left to right, and every partial total
+    stays below M = 2 t (pt_max + pr_max); each addition rounds by at most
+    spacing(M) / 2, so swapping one pair moves the total by more than
+    (c_b - c_a) - t spacing(M). Twice that bound also covers the rounding
+    of the measured gap itself.
     """
-    t_dims = len(pt_axes)
-    pt_grids, pr_grids = [], []
-    total = np.zeros((1,) * t_dims)
-    for i, (gpt, gpr) in enumerate(zip(pt_axes, pr_axes)):
-        axis = (1,) * i + (-1,) + (1,) * (t_dims - 1 - i)
-        pt = np.repeat(gpt, len(gpr)).reshape(axis)
-        pr = np.tile(gpr, len(gpt)).reshape(axis)
-        pt_grids.append(pt)
-        pr_grids.append(pr)
-        total = total + (pt + pr)
-    outage = _block_outage(stats, pt_grids, pr_grids, config.s, _patterns(config))
-    feasible = outage <= config.psi_th
-    if not feasible.any():
-        return None
-    masked = np.where(feasible, total, np.inf)
-    mn = masked.min()
-    ties = [
-        (*(float(pt_axes[i][k // len(pr_axes[i])]) for i, k in enumerate(cell)),
-         *(float(pr_axes[i][k % len(pr_axes[i])]) for i, k in enumerate(cell)))
-        for cell in np.argwhere(masked == mn)
-    ]
-    return float(mn), min(ties)
+    return 2 * t_dims * float(np.spacing(2.0 * t_dims * (config.pt_max + config.pr_max)))
 
 
-def _check_gate(stats: np.ndarray, config: SystemConfig) -> None:
-    outage = float(_outage_at_caps(stats, config))
-    if not outage <= config.psi_th:
-        raise InfeasibleProblemError(
-            f"outage at the power caps is {outage:.3e} > psi_th={config.psi_th:.3e}"
+def _frontier(cost: np.ndarray, q: np.ndarray, margin: float):
+    """The pairs of each row of (R, P) costs and q values that no other pair
+    of the row dominates: none with a q at least as large costs less by
+    more than ``margin``. Rows are padded with infinite cost.
+
+    Returns (pick, real): ``pick`` (R, W) indexes each row's kept pairs in
+    ascending cost, padded to the widest row, and ``real`` marks the
+    entries that are not padding.
+    """
+    rows = np.arange(len(cost))[:, None]
+    order = np.argsort(cost, axis=1, kind="stable")
+    cost, q = cost[rows, order], q[rows, order]
+    # a run of costs each within the margin of the one before shares one
+    # start; every pair before the start is cheaper by more than the margin
+    with np.errstate(invalid="ignore"):  # inf - inf between padded pairs
+        gap = cost[:, 1:] - cost[:, :-1] > margin
+    start = np.maximum.accumulate(np.where(gap, np.arange(1, cost.shape[1]), 0), axis=1)
+    q_before = np.maximum.accumulate(q, axis=1)[rows, np.maximum(start - 1, 0)]
+    keep = np.isfinite(cost)
+    keep[:, 1:] &= (start == 0) | (q_before < q[:, 1:])
+    counts = keep.sum(axis=1, keepdims=True)
+    width = int(counts.max())
+    pick = order[rows, np.argsort(~keep, axis=1, kind="stable")[:, :width]]
+    return pick, np.arange(width) < counts
+
+
+def _groups(sizes: list[list[int]]):
+    """Instances in groups whose padded product grids hold at most
+    ``_CELL_BUDGET`` cells together (an instance over it goes alone).
+    Yields (instances, widest pair count per subcarrier)."""
+    group, top = [], []
+    for i in sorted(range(len(sizes)), key=lambda i: math.prod(sizes[i])):
+        wider = [max(a, b) for a, b in zip(top, sizes[i])] if group else sizes[i]
+        if group and (len(group) + 1) * math.prod(wider) > _CELL_BUDGET:
+            yield group, top
+            group, wider = [], sizes[i]
+        group.append(i)
+        top = wider
+    if group:
+        yield group, top
+
+
+def _scan(samples, config, axes, fresh, margin):
+    """One grid level for n instances: each one's cheapest feasible cell.
+
+    ``samples`` is (n, 4, t); ``axes`` (n, 2t, A) holds each instance's
+    sorted pt axes then pr axes, and ``fresh`` marks each value's first
+    occurrence, so repeated values (clipped brackets) count once.
+    Subcarrier j's pairs are (pt_axis[k // A], pr_axis[k % A]). Dominated
+    pairs are dropped before the product grid is formed; the rest are
+    combined group by group. Returns (totals, vectors): the least total
+    and, among cells that tie on it, the lexicographically smallest
+    (pt_1..pt_t, pr_1..pr_t); total inf where no cell is feasible.
+    """
+    n, _, t_dims = samples.shape
+    width = axes.shape[2]
+    # row b * t + j holds instance b's subcarrier j
+    pt = np.repeat(axes[:, :t_dims], width, axis=2).reshape(n * t_dims, -1)
+    pr = np.tile(axes[:, t_dims:], (1, 1, width)).reshape(n * t_dims, -1)
+    real = np.repeat(fresh[:, :t_dims], width, axis=2) & np.tile(fresh[:, t_dims:], (1, 1, width))
+    stats = np.repeat(samples.transpose(1, 0, 2).reshape(4, -1), pt.shape[1], axis=1)
+    q = 1.0 - _phi(*stats, pt.ravel(), pr.ravel(), config.s).reshape(pt.shape)
+    pick, real = _frontier(np.where(real.reshape(pt.shape), pt + pr, np.inf), q, margin)
+    rows = np.arange(len(pick))[:, None]
+    pt, pr, q = (x[rows, pick].reshape(n, t_dims, -1) for x in (pt, pr, q))
+    cost = np.where(real.reshape(pt.shape), pt + pr, np.inf)
+
+    totals, vectors = np.full(n, np.inf), np.zeros((n, 2 * t_dims))
+    patterns = _patterns(config)
+    for group, top in _groups(real.sum(axis=1).reshape(n, t_dims).tolist()):
+        rows = np.array(group)
+        shapes = [(len(rows),) + (1,) * j + (-1,) + (1,) * (t_dims - 1 - j) for j in range(t_dims)]
+        outage = _combine(
+            [q[rows, j, : top[j]].reshape(shapes[j]) for j in range(t_dims)], patterns
         )
+        total = np.zeros((1,) * (t_dims + 1))
+        for j in range(t_dims):
+            total = total + cost[rows, j, : top[j]].reshape(shapes[j])
+        masked = np.where(outage <= config.psi_th, total, np.inf).reshape(len(rows), -1)
+        least = masked.min(axis=1)
+        g, cell = np.nonzero((masked == least[:, None]) & np.isfinite(least)[:, None])
+        at = (rows[g, None], np.arange(t_dims), np.stack(np.unravel_index(cell, top), axis=1))
+        ties = np.concatenate([pt[at], pr[at]], axis=1)
+        order = np.lexsort((*ties.T[::-1], g))
+        first = order[np.flatnonzero(np.diff(g[order], prepend=-1))]
+        totals[rows[g[first]]] = least[g[first]]
+        vectors[rows[g[first]]] = ties[first]
+    return totals, vectors
 
 
-def _result_from_vec(stats, config, total, vec, delta, evaluations, levels) -> OracleResult:
-    t_dims = stats.shape[1]
-    alloc = PowerAllocation(pt=tuple(vec[:t_dims]), pr=tuple(vec[t_dims:]))
-    achieved = float(_outage(stats, alloc.pt, alloc.pr, config))
-    return OracleResult(
-        allocation=alloc,
-        total_power=total,
-        achieved_outage=achieved,
-        feasible=achieved <= config.psi_th,
-        accuracy=delta,
-        evaluations=evaluations,
-        levels=levels,
-    )
+def _gate_failures(samples: np.ndarray, config: SystemConfig) -> dict:
+    """Instance -> InfeasibleProblemError, for those the caps cannot serve."""
+    outage = _outage_at_caps(samples, config)
+    return {
+        int(i): InfeasibleProblemError(
+            f"outage at the power caps is {float(outage[i]):.3e} > psi_th={config.psi_th:.3e}"
+        )
+        for i in np.flatnonzero(~(outage <= config.psi_th))
+    }
+
+
+def _results(samples, config, totals, vectors, accuracy, evaluations, levels, stops):
+    """OracleResults of (n, 2t) best vectors, outages re-checked in one call."""
+    t_dims = samples.shape[2]
+    achieved = _outage(samples, vectors[:, :t_dims], vectors[:, t_dims:], config).tolist()
+    return [
+        OracleResult(
+            allocation=PowerAllocation(pt=tuple(vec[:t_dims]), pr=tuple(vec[t_dims:])),
+            total_power=total,
+            achieved_outage=outage,
+            feasible=outage <= config.psi_th,
+            accuracy=accuracy,
+            evaluations=ev,
+            levels=lv,
+            stop_reason=stop,
+        )
+        for vec, total, outage, ev, lv, stop in zip(
+            vectors.tolist(), totals, achieved, evaluations, levels, stops
+        )
+    ]
 
 
 def solve(
@@ -287,9 +401,48 @@ def solve(
     every axis bracket has spacing at most delta * max(coordinate,
     delta * cap). ``max_levels=0`` restricts the search to the level-0
     grid, which makes the result comparable bitwise with
-    ``brute_force_reference`` at the same grid size.
+    ``brute_force_reference`` at the same grid size. This is the
+    one-instance call of the lock-step search, ``_solve_batch``.
     """
-    stats = _stats_matrix(stats, config)
+    return _solve_batch(
+        _stats_matrix(stats, config)[None], config, delta, grid0=grid0,
+        refine_points=refine_points, shrink=shrink, max_levels=max_levels,
+        max_evaluations=max_evaluations,
+    )[0]
+
+
+def _search_options(options: dict) -> dict:
+    """``solve``'s keyword options, its defaults filled in."""
+    return {**solve.__kwdefaults__, **options}
+
+
+def _batch_size(cols: int, grid0: int, refine_points: int) -> int:
+    """Instances per lock-step chunk: one level's pairs fit ``_PAIR_BUDGET``."""
+    return max(1, _PAIR_BUDGET // (cols * max(grid0, refine_points) ** 2))
+
+
+def _solve_batch(
+    samples: np.ndarray,
+    config: SystemConfig,
+    delta: float,
+    *,
+    grid0: int,
+    refine_points: int,
+    shrink: float,
+    max_levels: int | None,
+    max_evaluations: int,
+) -> list[OracleResult]:
+    """``solve`` for each (4, cols) matrix of a (B, 4, cols) stack of valid
+    statistics, all instances in lock-step: each level is one ``_scan`` of
+    every instance still refining.
+
+    Each result is bitwise the one-instance result. If instances fail,
+    this raises what the first failing one (in input order) raises alone;
+    instances after it stop early, since they cannot change that.
+    """
+    count, _, t_dims = samples.shape
+    if count == 0:
+        return []
     if not (0 < delta < 1):
         raise InvalidArgumentError(f"delta must be in (0, 1), got {delta!r}")
     if refine_points < 3 or refine_points % 2 == 0:
@@ -299,52 +452,82 @@ def solve(
         )
     if not (0 < shrink < 1):
         raise InvalidArgumentError(f"shrink must be in (0, 1), got {shrink!r}")
-    _check_gate(stats, config)
-
-    t_dims = stats.shape[1]
     caps = [config.pt_max] * t_dims + [config.pr_max] * t_dims
-    pt_axes = [power_axis_grid(config.pt_max, grid0) for _ in range(t_dims)]
-    pr_axes = [power_axis_grid(config.pr_max, grid0) for _ in range(t_dims)]
+    cap_arr = np.array(caps, dtype=float)
+    offsets = np.linspace(-1.0, 1.0, refine_points)
+    spans = np.stack([offsets * cap for cap in caps])  # bracket offsets before shrinking
+    margin = _tie_margin(config, t_dims)
 
-    best = None
-    evaluations = 0
+    failures = _gate_failures(samples, config)
+    if 0 in failures:  # before the grid is built, as for one instance
+        raise failures[0]
+    # instances after the first failure cannot change what is raised
+    active = np.arange(count) < min(failures, default=count)
+    axes = np.broadcast_to(
+        np.stack([power_axis_grid(cap, grid0) for cap in caps]), (count, 2 * t_dims, grid0)
+    )
+    fresh = np.ones(axes.shape, dtype=bool)
+    best_total = np.full(count, np.inf)
+    best_vec = np.zeros((count, 2 * t_dims))
+    evaluations, levels, stops = [0] * count, [0] * count, [""] * count
     level = 0
-    while True:
-        cells = math.prod(len(a) * len(b) for a, b in zip(pt_axes, pr_axes))
-        if evaluations + cells > max_evaluations:
-            raise BudgetExceededError(
-                f"level {level} needs {cells} evaluations, exceeding the cap of "
-                f"{max_evaluations} (used {evaluations}); raise max_evaluations or "
-                f"coarsen the grids"
-            )
-        evaluations += cells
-        found = _scan(stats, config, pt_axes, pr_axes)
-        if found is not None and (best is None or found < best):
-            best = found
-        if best is None:  # pragma: no cover - the caps cell is on the level-0 grid
+    while active.any():
+        idx = np.flatnonzero(active)
+        points = fresh[idx].sum(axis=2)
+        for i, sizes in zip(idx.tolist(), (points[:, :t_dims] * points[:, t_dims:]).tolist()):
+            cells = math.prod(sizes)
+            if evaluations[i] + cells > max_evaluations:
+                failures[i] = BudgetExceededError(
+                    f"level {level} needs {cells} evaluations, exceeding the cap of "
+                    f"{max_evaluations} (used {evaluations[i]}); raise max_evaluations or "
+                    f"coarsen the grids"
+                )
+            else:
+                evaluations[i] += cells
+        if failures:
+            active[min(failures):] = False
+            idx = np.flatnonzero(active)
+            if len(idx) == 0:
+                break
+
+        total, vec = _scan(samples[idx], config, axes[idx], fresh[idx], margin)
+        better = total < best_total[idx]
+        for r in np.flatnonzero(total == best_total[idx]).tolist():
+            better[r] = tuple(vec[r]) < tuple(best_vec[idx[r]])
+        best_total[idx[better]] = total[better]
+        best_vec[idx[better]] = vec[better]
+        if not np.isfinite(best_total[idx]).all():  # pragma: no cover - caps cell is on level 0
             raise NumericConsistencyError(
                 "no feasible grid cell although the power caps passed the gate"
             )
+
+        stop = np.full(len(idx), "", dtype=object)
         if max_levels is not None and level >= max_levels:
-            break
-        vec = best[1]
-        targets = [delta * max(x, delta * cap) for x, cap in zip(vec, caps)]
-        if level > 0:
-            spacings = [
-                2.0 * cap * shrink**level / (refine_points - 1) for cap in caps
-            ]
-            if all(sp <= tg for sp, tg in zip(spacings, targets)):
-                break
-        if level >= _HARD_LEVEL_CAP:
-            break
+            stop[:] = "max_levels"
+        else:
+            if level > 0:
+                spacings = [2.0 * cap * shrink**level / (refine_points - 1) for cap in caps]
+                targets = delta * np.maximum(best_vec[idx], delta * cap_arr)
+                stop[(np.array(spacings) <= targets).all(axis=1)] = "resolution"
+            if level >= _HARD_LEVEL_CAP:
+                stop[stop == ""] = "level_cap"
+        for i, reason in zip(idx.tolist(), stop.tolist()):
+            if reason:
+                stops[i], levels[i] = reason, level
+        active[idx[stop != ""]] = False
+
         level += 1
-        offsets = np.linspace(-1.0, 1.0, refine_points)
-        axes = [
-            np.unique(np.clip(x + offsets * cap * shrink**level, 0.0, cap))
-            for x, cap in zip(vec, caps)
-        ]
-        pt_axes, pr_axes = axes[:t_dims], axes[t_dims:]
-    return _result_from_vec(stats, config, best[0], best[1], delta, evaluations, level)
+        going = idx[stop == ""]
+        axes = np.zeros((count, 2 * t_dims, refine_points))
+        axes[going] = np.clip(
+            best_vec[going][:, :, None] + spans * shrink**level, 0.0, cap_arr[:, None]
+        )
+        fresh = np.ones(axes.shape, dtype=bool)
+        fresh[..., 1:] = axes[..., 1:] != axes[..., :-1]
+    if failures:
+        raise failures[min(failures)]
+    return _results(samples, config, best_total.tolist(), best_vec, delta, evaluations,
+                    levels, stops)
 
 
 def brute_force_reference(stats, config: SystemConfig, grid_points_per_axis: int) -> OracleResult:
@@ -358,7 +541,9 @@ def brute_force_reference(stats, config: SystemConfig, grid_points_per_axis: int
         raise BudgetExceededError(
             f"{grid_points_per_axis} points per axis exceeds the flat-scan cap of 12"
         )
-    _check_gate(stats, config)
+    failures = _gate_failures(stats[None], config)
+    if failures:
+        raise failures[0]
     t_dims = stats.shape[1]
     pt_axis = power_axis_grid(config.pt_max, grid_points_per_axis)
     pr_axis = power_axis_grid(config.pr_max, grid_points_per_axis)
@@ -377,4 +562,5 @@ def brute_force_reference(stats, config: SystemConfig, grid_points_per_axis: int
                 best = (total, vec)
     if best is None:  # pragma: no cover - caps passed the gate and are on-grid
         raise InfeasibleProblemError("no feasible grid point found")
-    return _result_from_vec(stats, config, best[0], best[1], 0.0, evaluations, 0)
+    return _results(stats[None], config, [best[0]], np.array([best[1]]), 0.0, [evaluations],
+                    [0], ["max_levels"])[0]

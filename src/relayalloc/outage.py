@@ -24,10 +24,11 @@ A block of active subcarriers is in outage when any of them is; averaging
 that over the legitimate activation patterns gives the pattern-averaged
 outage. Both live in one batched kernel, ``_block_outage``: per-subcarrier
 statistics and powers broadcast to any batch shape, so a single call
-covers a grid scan, a whole dataset or one allocation. The solver, the
-dataset checks, the comparison and the repair call it directly; the
-scalar functions below are thin calls into it. A seeded Monte-Carlo
-estimator provides the independent check.
+covers a whole dataset or one allocation. The dataset checks, the
+comparison and the repair call it directly; the solver calls its two
+steps, ``_phi`` (once per level for every (pt, pr) pair) and ``_combine``
+(on the product grid); the scalar functions below are thin calls into
+it. A seeded Monte-Carlo estimator provides the independent check.
 """
 
 from __future__ import annotations
@@ -173,7 +174,9 @@ def _block_outage(stats, pt, pr, s: float, patterns) -> np.ndarray:
 def _combine(q, patterns) -> np.ndarray:
     """Mean over patterns of 1 - prod_(j in pattern) q_j, with q_j = 1 - Phi_j.
 
-    The only place the block combination is computed.
+    The only place the block combination is computed. Every step (product
+    of factors in [0, 1], ``1 -``, sum, division) is monotone under IEEE
+    rounding, so the result never rises when any q_j rises.
     """
     shape = np.broadcast_shapes(*(np.shape(x) for x in q))
     total = None

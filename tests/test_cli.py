@@ -39,6 +39,9 @@ def test_gen_data_writes_dataset_and_manifest(tmp_path, capsys):
     assert manifest["options"]["split_seed"] == 902  # derived from seed + 1
     assert manifest["artifacts"]["validation"] == str(val)
     assert manifest["wall_clock_sec"] > 0
+    labeling = manifest["labeling"]
+    assert labeling["stop_reasons"] == {"resolution": 6, "max_levels": 0, "level_cap": 0}
+    assert 0 < labeling["seconds"] <= manifest["wall_clock_sec"]
 
 
 def test_gen_data_reruns_are_byte_identical(tmp_path):
@@ -163,6 +166,12 @@ def test_solve_prints_and_writes_result(tmp_path, capsys):
     out2 = tmp_path / "result2.json"
     main(["solve", *SMALL_SYSTEM, "--stats", "1,1,1,1", "--out", str(out2)])
     assert out.read_bytes() == out2.read_bytes()
+    manifest = json.loads((tmp_path / "result.json.manifest.json").read_text())
+    assert manifest["stop_reason"] == "resolution"
+    capped = tmp_path / "capped.json"
+    main(["solve", *SMALL_SYSTEM, "--stats", "1,1,1,1", "--shrink", "0.99", "--out", str(capped)])
+    manifest = json.loads((tmp_path / "capped.json.manifest.json").read_text())
+    assert manifest["stop_reason"] == "level_cap"
 
 
 def test_infeasible_solve_exits_3(tmp_path, capsys):

@@ -29,6 +29,7 @@ from relayalloc import (
     split,
     stats_from_sample,
 )
+from relayalloc.gridsearch import _batch_size, _search_options
 
 # one active subcarrier keeps the searches tiny
 CFG = SystemConfig(n=2, t=1, m=2, psi_th=1e-2, pt_max=5000.0, pr_max=5000.0)
@@ -112,10 +113,29 @@ def test_build_dataset_is_deterministic():
 
 
 def test_parallel_labeling_matches_sequential():
-    samples = generate_samples(4, 0.5, 5.0, 1, seed=37)
-    seq = label_dataset(samples, CFG, 1e-2, workers=1, solver_kwargs=SOLVER)
-    par = label_dataset(samples, CFG, 1e-2, workers=2, solver_kwargs=SOLVER)
+    # two full chunks and a short one; progress is reported once per chunk
+    options = _search_options(SOLVER)
+    size = _batch_size(CFG.t, options["grid0"], options["refine_points"])
+    samples = generate_samples(2 * size + 3, 0.5, 5.0, 1, seed=37)
+    calls = {1: [], 2: []}
+    seq, par = (
+        label_dataset(samples, CFG, 1e-2, workers=workers, solver_kwargs=SOLVER,
+                      progress=lambda done, total, w=workers: calls[w].append((done, total)))
+        for workers in (1, 2)
+    )
+    assert len(seq) == len(par) == len(samples)
     assert all(records_equal(x, y) for x, y in zip(seq.records, par.records))
+    expected = [(size, len(samples)), (2 * size, len(samples)), (len(samples), len(samples))]
+    assert calls[1] == calls[2] == expected
+
+
+def test_labeling_reports_stop_reasons():
+    samples = generate_samples(5, 0.5, 5.0, 1, seed=38)
+    capped = label_dataset(samples, CFG, 1e-2, solver_kwargs=SOLVER).labeling
+    assert capped["stop_reasons"] == {"resolution": 0, "max_levels": 5, "level_cap": 0}
+    assert capped["seconds"] > 0
+    full = label_dataset(samples, CFG, 1e-2).labeling
+    assert full["stop_reasons"] == {"resolution": 5, "max_levels": 0, "level_cap": 0}
 
 
 def test_split_is_disjoint_and_seeded():
