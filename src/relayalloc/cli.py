@@ -215,9 +215,14 @@ def _write_manifest(path: str, command: str, opts: dict, artifacts: dict,
 
 
 def _progress_printer(label: str):
+    """progress(done, total) printing once per new twentieth of the work."""
+    shown = 0
+
     def cb(done: int, total: int) -> None:
-        step = max(1, total // 20)
-        if done % step == 0 or done == total:
+        nonlocal shown
+        twentieth = 20 * done // total
+        if twentieth > shown:
+            shown = twentieth
             print(f"{label}: {done}/{total}", file=sys.stderr)
 
     return cb

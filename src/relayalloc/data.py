@@ -459,13 +459,12 @@ def _check_outages(dataset: Dataset, path: str) -> None:
     ok = np.isfinite(samples) & (samples > 0)
     bad_stats = ~ok.all(axis=(1, 2))
     valid = int(np.argmax(bad_stats)) if bad_stats.any() else len(records)
-    cols = samples.shape[2]
-    outages = _outage(samples[:valid], labels[:valid, :cols], labels[:valid, cols:], config)
+    outages = _outage(samples[:valid], labels[:valid], config)
     label_totals = _row_totals(labels[:valid])
     for lineno, rec, outage, total in zip(
         itertools.count(2), records, outages.tolist(), label_totals.tolist()
     ):
-        if abs(outage - rec.achieved_outage) > _OUTAGE_RECHECK_TOL:
+        if not abs(outage - rec.achieved_outage) <= _OUTAGE_RECHECK_TOL:  # NaN fails too
             raise InvariantViolationError(
                 f"{path}:{lineno}: stored achieved_outage {rec.achieved_outage} "
                 f"disagrees with recomputation {outage}"
@@ -475,7 +474,7 @@ def _check_outages(dataset: Dataset, path: str) -> None:
                 f"{path}:{lineno}: label violates the outage cap "
                 f"({outage} > {config.psi_th})"
             )
-        if abs(total - rec.total_power) > 1e-9 * max(1.0, abs(total)):
+        if not abs(total - rec.total_power) <= 1e-9 * max(1.0, abs(total)):
             raise InvariantViolationError(
                 f"{path}:{lineno}: stored total_power {rec.total_power} "
                 f"disagrees with the label sum {total}"

@@ -50,10 +50,11 @@ are all kept. Repeated axis values, which brackets clipped at 0 or at the
 cap produce, count once.
 
 The closed form runs once per level for every (pt, pr) pair of every
-instance (``outage._phi``); the block combination
-(``outage._combine``) runs on the pruned product grids, in groups of
-instances holding at most ``_CELL_BUDGET`` cells. Gates, result
-re-checks and batches of samples call ``outage._block_outage``.
+instance (``outage._phi``, on a broadcast view of the statistics); the
+block combination (``outage._combine``) runs on the pruned product grids,
+in groups of instances holding at most ``_CELL_BUDGET`` cells. Every other
+outage evaluation is one ``_outage`` call, which hands statistic matrices
+and allocation vectors to ``outage._block_outage`` in the dataset layout.
 
 Evaluation accounting: one "evaluation" is one candidate power vector of
 the nominal grid, the product of each axis's distinct values, whether or
@@ -225,22 +226,17 @@ def _patterns(config: SystemConfig):
     return [[i - 1 for i in sap.indices] for sap in enumerate_saps(config.n, config.t).saps]
 
 
-def _outage(samples, pt, pr, config: SystemConfig) -> np.ndarray:
-    """Block outage of (..., 4, cols) statistic matrices under (..., cols) powers."""
-    return _block_outage(
-        np.moveaxis(samples, (-2, -1), (0, 1)),
-        np.moveaxis(np.asarray(pt, dtype=float), -1, 0),
-        np.moveaxis(np.asarray(pr, dtype=float), -1, 0),
-        config.s,
-        _patterns(config),
-    )
+def _outage(samples, vec, config: SystemConfig) -> np.ndarray:
+    """Block outage of (..., 4, cols) statistic matrices under (..., 2 cols)
+    allocations, pt then pr, in the configured outage mode."""
+    return _block_outage(samples, vec, config.s, _patterns(config))
 
 
 def _outage_at_caps(samples, config: SystemConfig) -> np.ndarray:
     """Block outage of (..., 4, cols) statistic matrices at the power caps."""
     cols = np.shape(samples)[-1]
     _check_cols(cols, config)
-    return _outage(samples, np.full(cols, config.pt_max), np.full(cols, config.pr_max), config)
+    return _outage(samples, np.repeat([config.pt_max, config.pr_max], cols), config)
 
 
 def feasibility_check(stats, config: SystemConfig) -> FeasibilityResult:
@@ -322,8 +318,8 @@ def _scan(samples, config, axes, fresh, margin):
     pt = np.repeat(axes[:, :t_dims], width, axis=2).reshape(n * t_dims, -1)
     pr = np.tile(axes[:, t_dims:], (1, 1, width)).reshape(n * t_dims, -1)
     real = np.repeat(fresh[:, :t_dims], width, axis=2) & np.tile(fresh[:, t_dims:], (1, 1, width))
-    stats = np.repeat(samples.transpose(1, 0, 2).reshape(4, -1), pt.shape[1], axis=1)
-    q = 1.0 - _phi(*stats, pt.ravel(), pr.ravel(), config.s).reshape(pt.shape)
+    stats = samples.transpose(1, 0, 2).reshape(4, -1, 1)
+    q = 1.0 - _phi(*stats, pt, pr, config.s)
     pick, real = _frontier(np.where(real.reshape(pt.shape), pt + pr, np.inf), q, margin)
     rows = np.arange(len(pick))[:, None]
     pt, pr, q = (x[rows, pick].reshape(n, t_dims, -1) for x in (pt, pr, q))
@@ -366,7 +362,7 @@ def _gate_failures(samples: np.ndarray, config: SystemConfig) -> dict:
 def _results(samples, config, totals, vectors, accuracy, evaluations, levels, stops):
     """OracleResults of (n, 2t) best vectors, outages re-checked in one call."""
     t_dims = samples.shape[2]
-    achieved = _outage(samples, vectors[:, :t_dims], vectors[:, t_dims:], config).tolist()
+    achieved = _outage(samples, vectors, config).tolist()
     return [
         OracleResult(
             allocation=PowerAllocation(pt=tuple(vec[:t_dims]), pr=tuple(vec[t_dims:])),
@@ -552,12 +548,12 @@ def brute_force_reference(stats, config: SystemConfig, grid_points_per_axis: int
     evaluations = 0
     for combo in itertools.product(pairs, repeat=t_dims):
         evaluations += 1
-        outage = _outage(stats, [a for a, _ in combo], [b for _, b in combo], config)
+        vec = (*(a for a, _ in combo), *(b for _, b in combo))
+        outage = _outage(stats, vec, config)
         if outage <= config.psi_th:
             total = 0.0
             for a, b in combo:
                 total += a + b
-            vec = (*(a for a, _ in combo), *(b for _, b in combo))
             if best is None or (total, vec) < best:
                 best = (total, vec)
     if best is None:  # pragma: no cover - caps passed the gate and are on-grid

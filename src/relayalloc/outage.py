@@ -22,18 +22,19 @@ bracket tends to 1 as z -> 0, so eta2 -> 0 and large-power limits are exact.
 
 A block of active subcarriers is in outage when any of them is; averaging
 that over the legitimate activation patterns gives the pattern-averaged
-outage. Both live in one batched kernel, ``_block_outage``: per-subcarrier
-statistics and powers broadcast to any batch shape, so a single call
-covers a whole dataset or one allocation. The dataset checks, the
-comparison and the repair call it directly; the solver calls its two
-steps, ``_phi`` (once per level for every (pt, pr) pair) and ``_combine``
-(on the product grid); the scalar functions below are thin calls into
-it. A seeded Monte-Carlo estimator provides the independent check.
+outage. Both live in one batched kernel, ``_block_outage``, in the dataset
+layout: (..., 4, cols) statistic matrices and (..., 2 cols) allocations,
+pt then pr, whose batch shapes broadcast, so one call covers a whole
+dataset or one allocation. Gates, result re-checks, dataset checks, the
+comparison and the repair reach it through ``gridsearch._outage``; the
+grid scan calls its two steps, ``_phi`` (once per level for every (pt, pr)
+pair) and ``_combine`` (on the product grid); the scalar functions below
+are thin calls into it. A seeded Monte-Carlo estimator provides the
+independent check.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,7 +135,8 @@ def _clamp_probability(p):
 
 
 def _phi(mu1, mu2, eta1, eta2, pt, pr, s: float) -> np.ndarray:
-    """Phi(s) elementwise over equal-length flat arrays (zero power -> 1)."""
+    """Phi(s) elementwise over broadcastable arrays (zero power -> 1)."""
+    mu1, mu2, eta1, eta2, pt, pr = np.broadcast_arrays(mu1, mu2, eta1, eta2, pt, pr)
     out = np.ones(pt.shape)
     on = (pt > 0) & (pr > 0)
     if on.any():
@@ -143,32 +145,23 @@ def _phi(mu1, mu2, eta1, eta2, pt, pr, s: float) -> np.ndarray:
         a = s * e2 / (m1 * m2 * ptv * prv)
         z = 2.0 * np.sqrt(a)
         out[on] = 1.0 - xk1e(z) * np.exp(-(z + b))
-    return _clamp_probability(out)
+    return _clamp_probability(out).reshape(out.shape)
 
 
-def _block_outage(stats, pt, pr, s: float, patterns) -> np.ndarray:
+def _block_outage(samples, vec, s: float, patterns) -> np.ndarray:
     """Batched block outage averaged over activation patterns.
 
-    ``stats[k][j]`` is statistic k (mu1, mu2, eta1, eta2) of subcarrier j
-    and ``pt[j]``, ``pr[j]`` are its powers; each is a scalar or an array.
-    Subcarrier j's inputs broadcast to its own shape, and those shapes
-    broadcast to the batch shape, so a grid scan can give every subcarrier
-    its own axis without materializing the product grid. The closed form
-    runs once over all subcarriers. ``patterns`` lists the 0-based active
-    subcarriers of each pattern.
+    ``samples`` holds (..., 4, cols) statistic matrices, rows mu1, mu2,
+    eta1, eta2 and one column per subcarrier; ``vec`` holds (..., 2 cols)
+    allocations, pt_1..pt_cols then pr_1..pr_cols. Their batch shapes
+    broadcast, so one call covers a dataset, one matrix under many
+    allocations or many matrices under one. ``patterns`` lists the 0-based
+    active subcarriers of each pattern.
     """
-    if len(pt) == 0:
-        return _combine([], patterns)
-    inputs = [(*(row[j] for row in stats), pt[j], pr[j]) for j in range(len(pt))]
-    shapes = [np.broadcast_shapes(*map(np.shape, args)) for args in inputs]
-    flat = [
-        [np.broadcast_to(x, shape).reshape(-1) for x in args]
-        for args, shape in zip(inputs, shapes)
-    ]
-    phi = _phi(*(np.concatenate(column) for column in zip(*flat)), s)
-    ends = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
-    q = [(1.0 - part).reshape(shape) for part, shape in zip(np.split(phi, ends), shapes)]
-    return _combine(q, patterns)
+    samples, vec = np.asarray(samples, dtype=float), np.asarray(vec, dtype=float)
+    cols = samples.shape[-1]
+    phi = _phi(*np.moveaxis(samples, -2, 0), vec[..., :cols], vec[..., cols:], s)
+    return _combine(np.moveaxis(1.0 - phi, -1, 0), patterns)
 
 
 def _combine(q, patterns) -> np.ndarray:
@@ -198,9 +191,7 @@ def outage_grid(stats: SubcarrierStats, pt, pr, s: float) -> np.ndarray:
     pr = np.asarray(pr, dtype=float)
     if (pt < 0).any() or (pr < 0).any():
         raise InvalidArgumentError("powers must be >= 0")
-    shape = np.broadcast(pt, pr).shape
-    args = (stats.mu1, stats.mu2, stats.eta1, stats.eta2, pt, pr)
-    return _phi(*(np.broadcast_to(x, shape).reshape(-1) for x in args), s).reshape(shape)
+    return _phi(stats.mu1, stats.mu2, stats.eta1, stats.eta2, pt, pr, s)
 
 
 def subcarrier_outage(stats: SubcarrierStats, power: SubcarrierPower, s: float) -> float:
@@ -217,9 +208,9 @@ def combine_active_outages(phis) -> float:
 def _one_block(stats, powers, s: float, patterns) -> float:
     if stats:
         _check_s(s)
-    rows = [[getattr(st, name) for st in stats] for name in ("mu1", "mu2", "eta1", "eta2")]
-    pt, pr = [pw.pt for pw in powers], [pw.pr for pw in powers]
-    return float(_block_outage(rows, pt, pr, s, patterns))
+    matrix = [[getattr(st, name) for st in stats] for name in ("mu1", "mu2", "eta1", "eta2")]
+    vec = [pw.pt for pw in powers] + [pw.pr for pw in powers]
+    return float(_block_outage(matrix, vec, s, patterns))
 
 
 def all_active_outage(stats, powers, s: float) -> float:

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._files import atomic_open
-from .data import Dataset
+from .data import Dataset, build_dataset, split
 from .errors import InvalidArgumentError, NonFiniteLossError
-from .gridsearch import SystemConfig, _cols, _outage, _row_totals
+from .gridsearch import SystemConfig, _outage, _row_totals
 from .mlp import (
     Batch,
     MlpParams,
@@ -236,8 +236,7 @@ def _scale_up_repair(vec: np.ndarray, samples: np.ndarray, config: SystemConfig)
         return np.minimum(vec[rows] * c[:, None], box)
 
     def fits(rows, c):
-        v = scaled(rows, c)
-        return _outage(samples[rows], v[:, :cols], v[:, cols:], config) <= config.psi_th
+        return _outage(samples[rows], scaled(rows, c), config) <= config.psi_th
 
     smallest = np.where(vec > 0, vec, np.inf).min(axis=1, initial=np.inf)
     rows = np.flatnonzero(np.isfinite(smallest))
@@ -272,17 +271,16 @@ def compare_against_labels(
     if repair not in (None, "scale-up"):
         raise InvalidArgumentError(f"unknown repair mode {repair!r}")
     config = dataset.config
-    cols = _cols(config)
     samples = dataset.samples
     vec = _predict(params, dataset)
-    outage = _outage(samples, vec[:, :cols], vec[:, cols:], config)
+    outage = _outage(samples, vec, config)
     repaired = np.zeros(len(vec), dtype=bool)
     bad = np.flatnonzero(outage > config.psi_th)
     if repair == "scale-up" and len(bad):
         fixed, new = _scale_up_repair(vec[bad], samples[bad], config)
         rows = bad[fixed]
         vec[rows] = new
-        outage[rows] = _outage(samples[rows], new[:, :cols], new[:, cols:], config)
+        outage[rows] = _outage(samples[rows], new, config)
         repaired[rows] = True
     columns = zip(_row_totals(vec).tolist(), dataset.totals.tolist(), outage.tolist(),
                   repaired.tolist())
@@ -351,8 +349,6 @@ def sweep(
     fresh initialization; datasets are regenerated per grid value for the
     outage-threshold experiment because labels depend on psi_th.
     """
-    from .data import build_dataset, split as split_dataset  # local: avoid cycle at import
-
     runs = []
     for vi, value in enumerate(spec.grid):
         if spec.experiment == "neurons":
@@ -381,7 +377,7 @@ def sweep(
                 spec.delta,
                 workers=workers,
             )
-            train_set, val_set = split_dataset(dataset, spec.validation_count, seeds["split"])
+            train_set, val_set = split(dataset, spec.validation_count, seeds["split"])
             params = init_mlp(dims, seeds["init"])
             run_training = replace(training, shuffle_seed=seeds["shuffle"])
             params, history = train(params, train_set, run_training, validation=val_set)

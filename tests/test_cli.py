@@ -55,6 +55,14 @@ def test_gen_data_reruns_are_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_gen_data_reports_every_labeled_chunk(tmp_path, capsys):
+    # 70 samples label in chunks of 14; each chunk reaches a new twentieth
+    assert main(["gen-data", "--count", "40", "--validation-count", "30", "--seed", "5",
+                 "--out", str(tmp_path / "t.jsonl"), "--val-out", str(tmp_path / "v.jsonl")]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"labeling: {done}/70" for done in (14, 28, 42, 56, 70)]
+
+
 def test_config_file_layered_under_flags(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"count": 5, "seed": 77, "n": 2, "t": 1, "m": 2}))

@@ -402,6 +402,9 @@ def corrupt_records(tmp_path, edits):
         ({3: ("v.1.0", 10**400)}, SchemaError, 3),  # too large for a float
         # a bad total on line 2 precedes a string entry on line 3
         ({2: ("total_power", 1.0), 3: ("v.0.0", "1.0")}, InvariantViolationError, 2),
+        # NaN is within no tolerance of the recomputed value
+        ({3: ("total_power", float("nan"))}, InvariantViolationError, 3),
+        ({4: ("achieved_outage", float("nan"))}, InvariantViolationError, 4),
     ],
 )
 def test_load_reports_the_first_corrupt_record(tmp_path, edits, exc, first):

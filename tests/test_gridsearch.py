@@ -5,16 +5,21 @@ from relayalloc import (
     BudgetExceededError,
     InfeasibleProblemError,
     InvalidArgumentError,
+    OutageQuery,
     SubcarrierPower,
     SubcarrierStats,
     SystemConfig,
     all_active_outage,
+    average_outage,
     brute_force_reference,
+    enumerate_saps,
     evaluation_budget,
     feasibility_check,
     power_axis_grid,
     solve,
+    stats_from_sample,
 )
+from relayalloc.gridsearch import _outage
 
 UNIT = SubcarrierStats(mu1=1.0, mu2=1.0, eta1=1.0, eta2=1.0)
 
@@ -235,3 +240,42 @@ def test_total_power_association_is_pairwise():
     alloc = PowerAllocation(pt=(0.1, 0.2), pr=(0.3, 0.4))
     expected = (0.1 + 0.3) + (0.2 + 0.4)
     assert alloc.total_power == expected
+
+
+def per_row_outage(v, vec, config):
+    """The scalar API's outage of one (4, cols) matrix under one 2 cols vector."""
+    cols = v.shape[1]
+    stats = tuple(stats_from_sample(v))
+    powers = tuple(SubcarrierPower(pt, pr) for pt, pr in zip(vec[:cols], vec[cols:]))
+    if config.outage_mode == "single-sap":
+        return all_active_outage(stats, powers, config.s)
+    saps = enumerate_saps(config.n, config.t)
+    return average_outage(OutageQuery(s=config.s, stats=stats, powers=powers, sap_set=saps))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SystemConfig(n=2, t=1, m=2),
+        SystemConfig(),
+        SystemConfig(n=4, t=2, outage_mode="sap-averaged"),
+    ],
+    ids=["t1", "t2", "sap-averaged-n4"],
+)
+def test_outage_kernel_broadcasts_bitwise_like_per_row_calls(config):
+    rng = np.random.default_rng(64)
+    cols = config.t if config.outage_mode == "single-sap" else config.n
+    samples = rng.uniform(0.02, 5.0, (9, 4, cols))
+    vecs = rng.uniform(0.0, 1.0, (9, 2 * cols)) * 10.0 ** rng.uniform(-3, 0, (9, 1))
+    vecs *= np.repeat([config.pt_max, config.pr_max], cols)
+    vecs[0] = 0.0
+    vecs[1, 0] = 0.0
+    expect = np.array([[per_row_outage(v, vec, config) for vec in vecs] for v in samples])
+    assert ((expect > 0) & (expect < 1)).any() and (expect == 1).any()
+    # a stack of matrices under a stack of vectors, row by row
+    assert _outage(samples, vecs, config).tolist() == expect.diagonal().tolist()
+    # one matrix under many vectors, many matrices under one vector
+    assert _outage(samples[3], vecs, config).tolist() == expect[3].tolist()
+    assert _outage(samples, vecs[5], config).tolist() == expect[:, 5].tolist()
+    # every matrix under every vector
+    assert _outage(samples[:, None], vecs, config).tolist() == expect.tolist()

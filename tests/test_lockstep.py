@@ -44,7 +44,8 @@ def _reference_scan(stats, config, pt_axes, pr_axes):
         pt_grids.append(pt)
         pr_grids.append(pr)
         total = total + (pt + pr)
-    outage = _block_outage(stats, pt_grids, pr_grids, config.s, _patterns(config))
+    vec = np.stack(np.broadcast_arrays(*pt_grids, *pr_grids), axis=-1)
+    outage = _block_outage(stats, vec, config.s, _patterns(config))
     feasible = outage <= config.psi_th
     if not feasible.any():
         return None
@@ -94,7 +95,7 @@ def reference_solve(stats, config, delta=1e-2, grid0=12, refine_points=9, shrink
         ]
         pt_axes, pr_axes = axes[:t_dims], axes[t_dims:]
     total, vec = best
-    outage = float(_outage(stats, vec[:t_dims], vec[t_dims:], config))
+    outage = float(_outage(stats, vec, config))
     return vec, total, outage, evaluations, level
 
 

@@ -365,8 +365,7 @@ def violating_allocations(config, count, seed):
             vec[:cols] = 0.0  # no transmit power: nothing to scale on those entries
         if rng.random() < 0.05:
             vec[:] = 0.0
-        powers = vec.reshape(2, cols)
-        if _outage(v, powers[0], powers[1], config) > config.psi_th:
+        if _outage(v, vec, config) > config.psi_th:
             samples.append(v)
             vecs.append(vec)
     return np.array(samples), np.array(vecs)
@@ -409,7 +408,7 @@ def test_repair_output_is_feasible_or_unchanged(sample, vec):
     rows, new = _scale_up_repair(vec, v, config)
     if len(rows):
         assert (new >= vec).all()
-        assert _outage(v[0], new[0, :2], new[0, 2:], config) <= config.psi_th
+        assert _outage(v[0], new[0], config) <= config.psi_th
     else:
         assert new.shape == (0, 4)
 
