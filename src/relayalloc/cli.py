@@ -416,6 +416,11 @@ def _cmd_eval(opts: dict, args: argparse.Namespace) -> tuple | None:
     print(f"within 25% of the search optimum: {within:.2%}")
     extra = {"mean_gap": report.mean_gap, "violation_rate": report.violation_rate,
              "within_25pct": within}
+    if report.repair:
+        repaired = sum(r.repaired for r in report.rows)
+        unrepairable = sum(r.violated for r in report.rows)
+        extra["repair"] = {"violating": repaired + unrepairable, "repaired": repaired,
+                           "unrepairable": unrepairable}
     return opts["out"] + ".manifest.json", {"comparison": opts["out"]}, extra
 
 

@@ -13,7 +13,8 @@ Both metrics run the network once per dataset, on the dataset's column
 views; ``forward`` is batch-invariant, so each row equals the answer to
 that record's single query. The oracle comparison checks all network
 allocations in one outage call, and the scale-up repair bisects all
-violating records in lock step.
+violating records in lock step, four bisection levels per outage call,
+stopping each record once no further level can move it.
 """
 
 from __future__ import annotations
@@ -218,22 +219,34 @@ def _relative_gap(ann_total: float, oracle_total: float) -> float:
 
 
 _REPAIR_STEPS = 80
+_REPAIR_DEPTH = 4  # bisection levels settled per outage call
 
 
 def _scale_up_repair(vec: np.ndarray, samples: np.ndarray, config: SystemConfig):
     """Smallest common factor >= 1 restoring feasibility, capped at the box.
 
     ``vec`` holds one allocation (pt_1..pt_T, pr_1..pr_T) per row for the
-    statistic matrices ``samples`` (K, 4, T). All rows bisect in lock step,
-    one outage call per step. Returns the indices of the repaired rows and
-    their new allocations; rows with no positive power, or still infeasible
-    at the largest factor inside the box, are left out.
+    statistic matrices ``samples`` (K, 4, T). Returns the indices of the
+    repaired rows and their new allocations; rows with no positive power,
+    or still infeasible at the largest factor inside the box, are left out.
+
+    The result is bitwise that of ``_REPAIR_STEPS`` bisection steps per row
+    (mid = 0.5 (lo + hi) from lo = 1; a feasible mid becomes hi, an
+    infeasible one lo), settled ``_REPAIR_DEPTH`` levels per outage call:
+    each round evaluates every midpoint of each live row's depth-d subtree
+    (2^d - 1 of them, in heap order) in one call and walks the row down its
+    d outcomes. That is exact because the predicate is deterministic and
+    the kernel is batch-invariant. A row stops once its next midpoint
+    equals hi (tested feasible) or a lo that a step rejected: that step
+    would reproduce (lo, hi), and so would every later one. The untested
+    starting lo = 1 stops nothing, so a caller may pass a row that is
+    already feasible. A repair makes at most 1 + ceil(80 / 4) calls.
     """
     cols = samples.shape[2]
     box = np.repeat([config.pt_max, config.pr_max], cols)
 
     def scaled(rows, c):
-        return np.minimum(vec[rows] * c[:, None], box)
+        return np.minimum(vec[rows] * c[..., None], box)
 
     def fits(rows, c):
         return _outage(samples[rows], scaled(rows, c), config) <= config.psi_th
@@ -243,14 +256,33 @@ def _scale_up_repair(vec: np.ndarray, samples: np.ndarray, config: SystemConfig)
     hi = max(config.pt_max, config.pr_max) / smallest[rows]
     ok = fits(rows, hi)
     rows, hi = rows[ok], hi[ok]
-    if len(rows) == 0:
-        return rows, vec[rows]
     lo = np.ones(len(rows))
-    for _ in range(_REPAIR_STEPS):
-        mid = 0.5 * (lo + hi)
-        ok = fits(rows, mid)
-        hi = np.where(ok, mid, hi)
-        lo = np.where(ok, lo, mid)
+    rejected = np.zeros(len(rows), dtype=bool)  # lo is a factor some step found infeasible
+    live = np.arange(len(rows))
+    levels = 0
+    while levels < _REPAIR_STEPS and len(live):
+        depth = min(_REPAIR_DEPTH, _REPAIR_STEPS - levels)
+        low, high, rej = lo[live], hi[live], rejected[live]
+        nodes_lo, nodes_hi, mids = low[None], high[None], []
+        for _ in range(depth):
+            mid = 0.5 * (nodes_lo + nodes_hi)
+            mids.append(mid)
+            # children of node k sit at 2k (mid feasible) and 2k + 1 within the next level
+            nodes_lo = np.stack([nodes_lo, mid], axis=1).reshape(-1, len(live))
+            nodes_hi = np.stack([mid, nodes_hi], axis=1).reshape(-1, len(live))
+        mids = np.concatenate(mids)
+        ok = fits(rows[live], mids)
+        node, at = np.zeros(len(live), dtype=int), np.arange(len(live))  # heap index per row
+        for _ in range(depth):
+            mid, good = mids[node, at], ok[node, at]
+            high = np.where(good, mid, high)
+            low = np.where(good, low, mid)
+            rej |= ~good
+            node = 2 * node + 2 - good
+        lo[live], hi[live], rejected[live] = low, high, rej
+        levels += depth
+        mid = 0.5 * (low + high)
+        live = live[(mid != high) & ~((mid == low) & rej)]
     return rows, scaled(rows, hi)
 
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from relayalloc import NonFiniteLossError, load_dataset
+from relayalloc import NonFiniteLossError, init_mlp, load_dataset, normalization_for, save_model
 from relayalloc.cli import main
 
 SMALL_SYSTEM = ["--subcarriers", "2", "--active", "1", "--mod-order", "2"]
@@ -334,6 +334,32 @@ def test_eval_limit_rows_equal_the_full_run(tmp_path, repair):
     for k in (1, 7):
         assert main([*base, "--out", str(part), "--limit", str(k)]) == 0
         assert part.read_text().splitlines() == full_rows[: k + 1]  # header + k rows, bitwise
+
+
+@pytest.mark.parametrize("biases, repairable", [((-3.0, -3.0), True), ((-60.0, 0.0), False)])
+def test_eval_manifest_counts_repairs(tmp_path, capsys, biases, repairable):
+    # zero weights: every record gets sigmoid(bias) of the caps; -60 saturates to no power
+    data = tmp_path / "data.jsonl"
+    assert main(gen_args(data, count=12)) == 0
+    params = init_mlp([4, 4, 2], seed=0)
+    params.flat[:] = 0.0
+    params.biases[-1][:] = biases
+    model = tmp_path / "model.json"
+    save_model(params, normalization_for(load_dataset(str(data))), str(model))
+    base = ["eval", "--model", str(model), "--data", str(data)]
+    assert main([*base, "--out", str(tmp_path / "raw.csv")]) == 0
+    raw = json.loads((tmp_path / "raw.csv.manifest.json").read_text())
+    assert "repair" not in raw
+    violating = round(12 * raw["violation_rate"])
+    assert violating > 0
+    capsys.readouterr()
+    assert main([*base, "--out", str(tmp_path / "fixed.csv"), "--repair", "scale-up"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+    fixed = json.loads((tmp_path / "fixed.csv.manifest.json").read_text())
+    repaired = violating if repairable else 0
+    assert fixed["repair"] == {"violating": violating, "repaired": repaired,
+                               "unrepairable": violating - repaired}
+    assert fixed["violation_rate"] == (violating - repaired) / 12
 
 
 def test_profile_bundles_defaults_under_flags(tmp_path):

@@ -396,6 +396,129 @@ def test_lock_step_repair_matches_per_record_bisection(config):
     assert 0 < unchanged < len(vecs)  # both outcomes are exercised
 
 
+BUDGET_ROWS = 6
+SPREAD_ROWS = 24
+
+
+def edge_allocations(config, seed=909):
+    """Violating rows at the edges of the bisection, in three blocks.
+
+    - ``BUDGET_ROWS`` rows whose smallest power is about 1e-9 x cap (a
+      random row with pt_1 cut by 1e9 and mu1 of subcarrier 1 raised by
+      1e9, so the outage barely moves) and which turn feasible below
+      scale 1.5: the bracket starts at least 1e9 wide and after 80 levels
+      is still about 8e-16 wide around a factor below 2, several ulps, so
+      the 80-level budget ends the search, not a collapse;
+    - one row at a common fraction of the caps whose statistics are scaled
+      until the caps only just meet the outage target, so the repair
+      climbs all the way to the box;
+    - ``SPREAD_ROWS`` rows feasible at the box whose smallest power spans
+      1e-6 to 1 x cap, so their brackets collapse in different rounds.
+    """
+    rng = np.random.default_rng(seed)
+    cols = config.t if config.outage_mode == "single-sap" else config.n
+    box = np.repeat([config.pt_max, config.pr_max], cols)
+    samples, vecs = [], []
+
+    def keep(count, draw, fitting):
+        """Append draws that violate the cap until ``count`` rows, keeping
+        only those that fit at the allocation ``fitting(vec)``."""
+        while len(vecs) < count:
+            v, vec = draw()
+            if (_outage(v, vec, config) > config.psi_th
+                    and _outage(v, fitting(vec), config) <= config.psi_th):
+                samples.append(v)
+                vecs.append(vec)
+
+    def budget_row():
+        v = rng.uniform(0.02, 5.0, (4, cols))
+        vec = rng.uniform(0.2, 1.0, 2 * cols) * box * 10.0 ** rng.uniform(-2, 0)
+        v[0, 0] *= 1e9
+        vec[0] *= 1e-9
+        return v, vec
+
+    keep(BUDGET_ROWS, budget_row, lambda vec: np.minimum(1.5 * vec, box))
+    v = rng.uniform(0.02, 5.0, (4, cols))
+
+    def with_mu1_scaled(f):
+        w = v.copy()
+        w[0] *= f
+        return w
+
+    def caps_fit(f):
+        return _outage(with_mu1_scaled(f), box, config) <= config.psi_th
+
+    lo, hi = 0.0, 1.0
+    while not caps_fit(hi):
+        lo, hi = hi, 2 * hi
+    while lo < 0.5 * (lo + hi) < hi:  # the smallest mu1 factor that fits at the caps
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if caps_fit(mid) else (mid, hi)
+    samples.append(with_mu1_scaled(hi))
+    vecs.append(rng.uniform(0.05, 0.5) * box)  # every entry meets its cap at one factor
+
+    def spread_row():
+        v = rng.uniform(0.02, 5.0, (4, cols))
+        v[:2] *= 10.0 ** rng.uniform(0, 2)
+        return v, rng.uniform(0.1, 1.0, 2 * cols) * box * 10.0 ** rng.uniform(-6, 0)
+
+    keep(BUDGET_ROWS + 1 + SPREAD_ROWS, spread_row, lambda vec: box)
+    return np.array(samples), np.array(vecs)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SystemConfig(),
+        SystemConfig(n=2, t=1, psi_th=1e-3, pt_max=100.0, pr_max=300.0),
+        SystemConfig(n=4, t=2, outage_mode="sap-averaged"),
+    ],
+)
+def test_repair_edges_match_per_record_bisection(config, monkeypatch):
+    samples, vecs = edge_allocations(config)
+    cols = samples.shape[2]
+    box = np.repeat([config.pt_max, config.pr_max], cols)
+    live = []
+
+    def counted(s, v, c):
+        live.append(np.shape(v)[-2] if np.ndim(v) == 3 else 0)
+        return _outage(s, v, c)
+
+    monkeypatch.setattr("relayalloc.training._outage", counted)
+    rows, new = _scale_up_repair(vecs, samples, config)
+    # at most the box check plus one call per round of four levels; the budget
+    # rows never stop, so here every round runs and they alone fill the last
+    assert len(live) == 1 + math.ceil(80 / 4)
+    assert len(set(live[1:])) >= 3  # the other rows stop in different rounds
+    assert live[-1] == BUDGET_ROWS
+    repaired = dict(zip(rows.tolist(), new.tolist()))
+    assert list(range(BUDGET_ROWS + 1)) == rows.tolist()[: BUDGET_ROWS + 1]
+    assert (new[:BUDGET_ROWS, 0] < 2 * vecs[:BUDGET_ROWS, 0]).all()
+    assert (new[BUDGET_ROWS] >= box * (1 - 1e-12)).all()  # the box row ends at the box
+    monkeypatch.undo()
+    for i, (sample, vec) in enumerate(zip(samples, vecs.tolist())):
+        alloc = PowerAllocation(pt=tuple(vec[:cols]), pr=tuple(vec[cols:]))
+        ref = repair_one_at_a_time(alloc, sample, config)
+        assert (i in repaired) == (ref is not alloc)
+        if i in repaired:
+            assert tuple(repaired[i]) == ref.as_vector()  # bitwise
+        if i <= BUDGET_ROWS + 2:  # a single-row call gives the same answer
+            _, one = _scale_up_repair(vecs[i : i + 1], samples[i : i + 1], config)
+            assert one.tolist() == ([repaired[i]] if i in repaired else [])
+
+
+def test_repair_of_a_fitting_row_settles_on_scale_one():
+    config = SystemConfig()
+    samples, vecs = edge_allocations(config)
+    samples, vecs = samples[BUDGET_ROWS + 1 :], vecs[BUDGET_ROWS + 1 :]
+    _, fixed = _scale_up_repair(vecs, samples, config)
+    roomy = np.minimum(2 * fixed, np.repeat([config.pt_max, config.pr_max], samples.shape[2]))
+    rows, again = _scale_up_repair(roomy, samples, config)
+    assert rows.tolist() == list(range(SPREAD_ROWS))
+    # scale 1 fits but starts untested: the search has to reach and test it
+    assert again.tolist() == roomy.tolist()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     sample=st.lists(st.floats(0.02, 5.0), min_size=8, max_size=8),
