@@ -37,24 +37,23 @@ searchers compute candidate totals with the same association,
 ``(pt_1 + pr_1) + (pt_2 + pr_2) + ...``, and the same feasibility
 predicate bits, so the rule is exact, not approximate.
 
-Dominance pruning, also exact: before a level forms its product grid, a
-subcarrier's (pt, pr) pair is dropped when another pair on the same
-subcarrier has a q = 1 - Phi at least as large and a cost pt + pr lower
-by more than a rounding margin (``_tie_margin``: about T ulps of the
-largest possible total). The block outage never rises with any q, also
-under IEEE rounding (``outage._combine``), so putting the dominating pair
-in place of the dropped one keeps a feasible cell feasible, and the margin
-makes its rounded total strictly lower, so no tie can favour the dropped
-pair: the optimum never holds one. Pairs within the margin of each other
-are all kept. Repeated axis values, which brackets clipped at 0 or at the
-cap produce, count once.
-
-The closed form runs once per level for every (pt, pr) pair of every
-instance (``outage._phi``, on a broadcast view of the statistics); the
-block combination (``outage._combine``) runs on the pruned product grids,
-in groups of instances holding at most ``_CELL_BUDGET`` cells. Every other
-outage evaluation is one ``_outage`` call, which hands statistic matrices
-and allocation vectors to ``outage._block_outage`` in the dataset layout.
+Each level is exact. A subcarrier's (pt, pr) pair is dropped when another
+pair on it has a q = 1 - Phi at least as large and a cost pt + pr lower by
+more than a rounding margin (``_tie_margin``: about T ulps of the largest
+total). The block outage never rises with any q, also under IEEE rounding
+(``outage._combine``), and the margin keeps rounded totals apart, so no
+optimum or tie-break winner is dropped. Subcarriers 1..T-1 are merged one
+at a time into a frontier of partial allocations (partial total, partial
+q product), both folded left to right like the full ones, so each is
+bitwise their prefix and is dropped by the same rule (with several
+activation patterns the merge keeps every partial). The last subcarrier is
+searched, not multiplied out: the running maximum of q along its
+cost-sorted frontier makes feasibility monotone, so one ``_combine`` call
+finds the block holding each partial's first feasible pair and a second
+evaluates that block, widened to every pair that could tie with it. The
+closed form (``outage._phi``) runs once per level for every pair; every
+other outage evaluation is one ``_outage`` call, which hands statistic
+matrices and allocation vectors to ``outage._block_outage``.
 
 Evaluation accounting: one "evaluation" is one candidate power vector of
 the nominal grid, the product of each axis's distinct values, whether or
@@ -88,12 +87,9 @@ OUTAGE_MODES = ("single-sap", "sap-averaged")
 
 _GRID_FLOOR_RATIO = 1e-3
 _HARD_LEVEL_CAP = 64
-# Product-grid cells that one group of instances may hold at once; the
-# scan's temporaries are a few arrays of this many cells.
-_CELL_BUDGET = 1 << 14
-# (pt, pr) pairs of all instances in one chunk of the lock-step search; the
-# closed form and the pruning at each level hold a few arrays this long.
-_PAIR_BUDGET = 1 << 12
+# (pt, pr) pairs of all instances in one lock-step chunk, 42 instances at the
+# defaults: larger chunks labeled no faster and held more memory at once.
+_PAIR_BUDGET = 3 << 12
 
 # Why a search stopped: every axis reached the requested resolution, the
 # caller's max_levels, or the hard level cap.
@@ -116,6 +112,8 @@ class SystemConfig:
     def __post_init__(self):
         if not (isinstance(self.n, int) and isinstance(self.t, int) and 1 <= self.t <= self.n):
             raise InvalidArgumentError(f"need 1 <= t <= n, got n={self.n}, t={self.t}")
+        if not (isinstance(self.m, int) and self.m >= 2 and self.m & (self.m - 1) == 0):
+            raise InvalidArgumentError(f"m must be a power of two >= 2, got {self.m!r}")
         if not (np.isfinite(self.s) and self.s > 0):
             raise InvalidArgumentError(f"s must be finite and > 0, got {self.s!r}")
         if not (0 < self.psi_th <= 1):
@@ -174,7 +172,7 @@ class OracleResult:
     total_power: float
     achieved_outage: float
     feasible: bool
-    accuracy: float
+    accuracy: float | None  # delta once the resolution is reached, else None
     evaluations: int
     levels: int
     stop_reason: str  # one of STOP_REASONS
@@ -268,36 +266,19 @@ def _frontier(cost: np.ndarray, q: np.ndarray, margin: float):
     entries that are not padding.
     """
     rows = np.arange(len(cost))[:, None]
-    order = np.argsort(cost, axis=1, kind="stable")
+    order = np.argsort(cost, axis=1)
     cost, q = cost[rows, order], q[rows, order]
-    # a run of costs each within the margin of the one before shares one
-    # start; every pair before the start is cheaper by more than the margin
+    # a run of costs each within the margin of the one before starts at a
+    # gap; a pair stays unless a pair before its run has a q as large
     with np.errstate(invalid="ignore"):  # inf - inf between padded pairs
         gap = cost[:, 1:] - cost[:, :-1] > margin
-    start = np.maximum.accumulate(np.where(gap, np.arange(1, cost.shape[1]), 0), axis=1)
-    q_before = np.maximum.accumulate(q, axis=1)[rows, np.maximum(start - 1, 0)]
+    before = np.where(gap, np.maximum.accumulate(q[:, :-1], axis=1), -np.inf)
     keep = np.isfinite(cost)
-    keep[:, 1:] &= (start == 0) | (q_before < q[:, 1:])
+    keep[:, 1:] &= np.maximum.accumulate(before, axis=1) < q[:, 1:]
     counts = keep.sum(axis=1, keepdims=True)
     width = int(counts.max())
     pick = order[rows, np.argsort(~keep, axis=1, kind="stable")[:, :width]]
     return pick, np.arange(width) < counts
-
-
-def _groups(sizes: list[list[int]]):
-    """Instances in groups whose padded product grids hold at most
-    ``_CELL_BUDGET`` cells together (an instance over it goes alone).
-    Yields (instances, widest pair count per subcarrier)."""
-    group, top = [], []
-    for i in sorted(range(len(sizes)), key=lambda i: math.prod(sizes[i])):
-        wider = [max(a, b) for a, b in zip(top, sizes[i])] if group else sizes[i]
-        if group and (len(group) + 1) * math.prod(wider) > _CELL_BUDGET:
-            yield group, top
-            group, wider = [], sizes[i]
-        group.append(i)
-        top = wider
-    if group:
-        yield group, top
 
 
 def _scan(samples, config, axes, fresh, margin):
@@ -305,12 +286,10 @@ def _scan(samples, config, axes, fresh, margin):
 
     ``samples`` is (n, 4, t); ``axes`` (n, 2t, A) holds each instance's
     sorted pt axes then pr axes, and ``fresh`` marks each value's first
-    occurrence, so repeated values (clipped brackets) count once.
-    Subcarrier j's pairs are (pt_axis[k // A], pr_axis[k % A]). Dominated
-    pairs are dropped before the product grid is formed; the rest are
-    combined group by group. Returns (totals, vectors): the least total
-    and, among cells that tie on it, the lexicographically smallest
-    (pt_1..pt_t, pr_1..pr_t); total inf where no cell is feasible.
+    occurrence. Subcarrier j's pairs are (pt_axis[k // A], pr_axis[k % A]).
+    Returns (totals, vectors): the least total and, among cells that tie on
+    it, the lexicographically smallest (pt_1..pt_t, pr_1..pr_t); total inf
+    where no cell is feasible.
     """
     n, _, t_dims = samples.shape
     width = axes.shape[2]
@@ -323,28 +302,49 @@ def _scan(samples, config, axes, fresh, margin):
     pick, real = _frontier(np.where(real.reshape(pt.shape), pt + pr, np.inf), q, margin)
     rows = np.arange(len(pick))[:, None]
     pt, pr, q = (x[rows, pick].reshape(n, t_dims, -1) for x in (pt, pr, q))
-    cost = np.where(real.reshape(pt.shape), pt + pr, np.inf)
+    real = real.reshape(pt.shape)
+    cost, q = np.where(real, pt + pr, np.inf), np.where(real, q, 0.0)
+    wide, patterns, rows = cost.shape[2], _patterns(config), np.arange(n)[:, None]
 
+    # partial allocations of the subcarriers before the last, and each
+    # one's pair (frontier position) per subcarrier
+    if t_dims > 1:  # subcarrier 0's own frontier
+        total, prod, held = cost[:, 0], q[:, 0], np.repeat(np.arange(wide)[None, :, None], n, 0)
+    else:
+        total, prod, held = np.zeros((n, 1)), np.ones((n, 1)), np.zeros((n, 1, 0), dtype=int)
+    for j in range(1, t_dims - 1):
+        sums = (total[:, :, None] + cost[:, j, None, :]).reshape(n, -1)
+        prods = (prod[:, :, None] * q[:, j, None, :]).reshape(n, -1)
+        keep, kept = _frontier(sums, prods, margin if len(patterns) == 1 else np.inf)
+        total, prod = np.where(kept, sums[rows, keep], np.inf), prods[rows, keep]
+        held = np.concatenate([held[rows, keep // wide], (keep % wide)[..., None]], axis=2)
+
+    # the last subcarrier: the block holding each partial's first pair whose
+    # running max of q is feasible, then that block and the longest run of
+    # costs within the margin of each other after it
+    last, rows = t_dims - 1, rows[:, :, None]
+    qs = [q[rows, j, held[..., j, None]] for j in range(last)]
+    size = math.isqrt(wide - 1) + 1
+    ends = np.minimum(np.arange(size - 1, wide + size - 1, size), wide - 1)
+    reach = np.maximum.accumulate(q[:, last], axis=1)[:, None, ends]
+    block = (_combine(qs + [reach], patterns) > config.psi_th).sum(axis=2, keepdims=True)
+    close = (cost[:, last, 1:] <= cost[:, last, :-1] + margin) & real[:, last, 1:]
+    steps = np.arange(1, wide)
+    run = steps - np.maximum.accumulate(np.where(close, 0, steps), axis=1)
+    span = min(size + int(run.max(initial=0)), wide)
+    near = np.minimum(block * size, wide - span) + np.arange(span)
+    fits = _combine(qs + [q[rows, last, near]], patterns) <= config.psi_th
+    sums = np.where(fits, total[..., None] + cost[rows, last, near], np.inf)
+    least = sums.min(axis=(1, 2))
+    g, part, k = np.nonzero((sums == least[:, None, None]) & np.isfinite(sums))
+    picks = np.concatenate([held[g, part], near[g, part, k, None]], axis=1)
+    at = (g[:, None], np.arange(t_dims), picks)
+    ties = np.concatenate([pt[at], pr[at]], axis=1)
+    order = np.lexsort((*ties.T[::-1], g))
+    first = order[np.concatenate(([True], g[order[1:]] != g[order[:-1]]))]
     totals, vectors = np.full(n, np.inf), np.zeros((n, 2 * t_dims))
-    patterns = _patterns(config)
-    for group, top in _groups(real.sum(axis=1).reshape(n, t_dims).tolist()):
-        rows = np.array(group)
-        shapes = [(len(rows),) + (1,) * j + (-1,) + (1,) * (t_dims - 1 - j) for j in range(t_dims)]
-        outage = _combine(
-            [q[rows, j, : top[j]].reshape(shapes[j]) for j in range(t_dims)], patterns
-        )
-        total = np.zeros((1,) * (t_dims + 1))
-        for j in range(t_dims):
-            total = total + cost[rows, j, : top[j]].reshape(shapes[j])
-        masked = np.where(outage <= config.psi_th, total, np.inf).reshape(len(rows), -1)
-        least = masked.min(axis=1)
-        g, cell = np.nonzero((masked == least[:, None]) & np.isfinite(least)[:, None])
-        at = (rows[g, None], np.arange(t_dims), np.stack(np.unravel_index(cell, top), axis=1))
-        ties = np.concatenate([pt[at], pr[at]], axis=1)
-        order = np.lexsort((*ties.T[::-1], g))
-        first = order[np.flatnonzero(np.diff(g[order], prepend=-1))]
-        totals[rows[g[first]]] = least[g[first]]
-        vectors[rows[g[first]]] = ties[first]
+    totals[g[first]] = least[g[first]]
+    vectors[g[first]] = ties[first]
     return totals, vectors
 
 
@@ -369,7 +369,7 @@ def _results(samples, config, totals, vectors, accuracy, evaluations, levels, st
             total_power=total,
             achieved_outage=outage,
             feasible=outage <= config.psi_th,
-            accuracy=accuracy,
+            accuracy=accuracy if stop == "resolution" else None,
             evaluations=ev,
             levels=lv,
             stop_reason=stop,
@@ -558,5 +558,5 @@ def brute_force_reference(stats, config: SystemConfig, grid_points_per_axis: int
                 best = (total, vec)
     if best is None:  # pragma: no cover - caps passed the gate and are on-grid
         raise InfeasibleProblemError("no feasible grid point found")
-    return _results(stats[None], config, [best[0]], np.array([best[1]]), 0.0, [evaluations],
+    return _results(stats[None], config, [best[0]], np.array([best[1]]), None, [evaluations],
                     [0], ["max_levels"])[0]

@@ -28,9 +28,9 @@ pt then pr, whose batch shapes broadcast, so one call covers a whole
 dataset or one allocation. Gates, result re-checks, dataset checks, the
 comparison and the repair reach it through ``gridsearch._outage``; the
 grid scan calls its two steps, ``_phi`` (once per level for every (pt, pr)
-pair) and ``_combine`` (on the product grid); the scalar functions below
-are thin calls into it. A seeded Monte-Carlo estimator provides the
-independent check.
+pair) and ``_combine`` (on the cells the search tests); the scalar
+functions below are thin calls into it. A seeded Monte-Carlo estimator
+provides the independent check.
 """
 
 from __future__ import annotations

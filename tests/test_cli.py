@@ -4,8 +4,16 @@ import sys
 
 import pytest
 
-from relayalloc import NonFiniteLossError, init_mlp, load_dataset, normalization_for, save_model
+from relayalloc import (
+    NonFiniteLossError,
+    init_mlp,
+    load_dataset,
+    load_model,
+    normalization_for,
+    save_model,
+)
 from relayalloc.cli import main
+from relayalloc.gridsearch import _batch_size
 
 SMALL_SYSTEM = ["--subcarriers", "2", "--active", "1", "--mod-order", "2"]
 
@@ -56,11 +64,13 @@ def test_gen_data_reruns_are_byte_identical(tmp_path):
 
 
 def test_gen_data_reports_every_labeled_chunk(tmp_path, capsys):
-    # 70 samples label in chunks of 14; each chunk reaches a new twentieth
+    # 70 samples label in chunks of `size`; each chunk reaches a new twentieth
+    size = _batch_size(2, 12, 9)
+    assert 70 // 20 < size < 70
     assert main(["gen-data", "--count", "40", "--validation-count", "30", "--seed", "5",
                  "--out", str(tmp_path / "t.jsonl"), "--val-out", str(tmp_path / "v.jsonl")]) == 0
     lines = capsys.readouterr().err.splitlines()
-    assert lines == [f"labeling: {done}/70" for done in (14, 28, 42, 56, 70)]
+    assert lines == [f"labeling: {done}/70" for done in (*range(size, 70, size), 70)]
 
 
 def test_config_file_layered_under_flags(tmp_path):
@@ -180,6 +190,8 @@ def test_solve_prints_and_writes_result(tmp_path, capsys):
     main(["solve", *SMALL_SYSTEM, "--stats", "1,1,1,1", "--shrink", "0.99", "--out", str(capped)])
     manifest = json.loads((tmp_path / "capped.json.manifest.json").read_text())
     assert manifest["stop_reason"] == "level_cap"
+    assert doc["accuracy"] == 0.01
+    assert json.loads(capped.read_text())["accuracy"] is None  # null: resolution not reached
 
 
 def test_infeasible_solve_exits_3(tmp_path, capsys):
@@ -219,6 +231,20 @@ def test_missing_file_exits_4(tmp_path, capsys):
     model.write_text(json.dumps(doc))
     assert main(["eval", "--model", str(model), "--data", str(good)]) == 4
     assert "use_bias must be true" in capsys.readouterr().err
+
+
+def test_mod_order_must_be_a_power_of_two(tmp_path, capsys):
+    out = tmp_path / "data.jsonl"
+    assert main(gen_args(out, extra=("--mod-order", "3"))) == 2
+    assert "m must be a power of two >= 2, got 3" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert main(gen_args(out)) == 0
+    header, *records = out.read_text().splitlines()
+    doc = json.loads(header)
+    doc["config"]["m"] = 3
+    out.write_text("\n".join([json.dumps(doc), *records]) + "\n")
+    assert main(["train", "--data", str(out)]) == 4
+    assert ": malformed header: m must be a power of two" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [
@@ -326,6 +352,10 @@ def test_eval_limit_rows_equal_the_full_run(tmp_path, repair):
     assert main(gen_args(data, val, count=30)) == 0
     model = tmp_path / "model.json"
     assert main(train_args(data, val, model, tmp_path / "h.csv", hidden="64,64", epochs="40")) == 0
+    # lower output biases: rows differ and many break the cap, so a repair has work
+    params, norm = load_model(str(model))
+    params.biases[-1][:] -= 2.0
+    save_model(params, norm, str(model))
     full, part = tmp_path / "full.csv", tmp_path / "part.csv"
     base = ["eval", "--model", str(model), "--data", str(data), *repair]
     assert main([*base, "--out", str(full)]) == 0
@@ -334,6 +364,11 @@ def test_eval_limit_rows_equal_the_full_run(tmp_path, repair):
     for k in (1, 7):
         assert main([*base, "--out", str(part), "--limit", str(k)]) == 0
         assert part.read_text().splitlines() == full_rows[: k + 1]  # header + k rows, bitwise
+    manifest = json.loads((tmp_path / "part.csv.manifest.json").read_text())
+    if repair:  # of the 7 rows, some broke the cap and were repaired
+        assert manifest["repair"]["repaired"] >= 1
+    else:
+        assert manifest["violation_rate"] > 0
 
 
 @pytest.mark.parametrize("biases, repairable", [((-3.0, -3.0), True), ((-60.0, 0.0), False)])

@@ -230,6 +230,10 @@ def test_parameter_validation():
         SystemConfig(outage_mode="other")
     with pytest.raises(InvalidArgumentError):
         SystemConfig(t=5, n=4)
+    for m in (-1, 0, 1, 3, 6, 4.0):
+        with pytest.raises(InvalidArgumentError, match="power of two"):
+            SystemConfig(m=m)
+    assert [SystemConfig(m=m).m for m in (2, 8, 64)] == [2, 8, 64]
 
 
 def test_total_power_association_is_pairwise():

@@ -25,11 +25,13 @@ from relayalloc import (
     solve,
     stats_from_sample,
 )
-from relayalloc.gridsearch import _frontier, _outage, _patterns, _tie_margin
+from relayalloc import gridsearch
+from relayalloc.gridsearch import _batch_size, _frontier, _outage, _patterns, _tie_margin
 from relayalloc.outage import _block_outage
 
 T1 = SystemConfig(n=2, t=1, m=2)
 T2 = SystemConfig()
+T3 = SystemConfig(n=4, t=3)
 AVERAGED = SystemConfig(n=2, t=2, outage_mode="sap-averaged")
 
 
@@ -119,6 +121,36 @@ def test_batched_labels_and_solve_match_the_reference(config):
     assert_matches_reference(samples, config)
 
 
+@pytest.mark.parametrize("grid0, refine_points, count", [(4, 3, 12), (6, 5, 4)])
+def test_three_subcarriers_match_the_reference(grid0, refine_points, count):
+    # T = 3 merges a partial frontier of two subcarriers before the search;
+    # the default budget covers these grids (at most 6^6 + 64 * 5^6 cells)
+    samples, _ = draw_feasible_samples(count, 0.5, 5.0, T3, seed=88)
+    assert_matches_reference(samples, T3, grid0=grid0, refine_points=refine_points)
+
+
+def test_three_subcarriers_across_chunks_match_the_reference(monkeypatch):
+    # chunks of 4 instances: 10 samples label in three lock-step chunks
+    monkeypatch.setattr(gridsearch, "_PAIR_BUDGET", 4 * 3 * 4**2)
+    assert _batch_size(3, 4, 3) == 4
+    samples, _ = draw_feasible_samples(10, 0.5, 5.0, T3, seed=89)
+    assert_matches_reference(samples, T3, grid0=4, refine_points=3)
+
+
+def test_three_averaged_subcarriers_solve_like_the_reference():
+    # several activation patterns: the merge keeps every partial allocation
+    config = SystemConfig(n=3, t=2, outage_mode="sap-averaged")
+    draws = np.random.default_rng(90).uniform(0.5, 5.0, size=(12, 4, 3))
+    samples = [v for v in draws if feasibility_check(stats_from_sample(v), config).feasible]
+    assert len(samples) >= 4
+    for v in samples[:6]:
+        vec, total, outage, evaluations, levels = reference_solve(
+            v, config, grid0=4, refine_points=3)
+        got = solve(stats_from_sample(v), config, 1e-2, grid0=4, refine_points=3)
+        assert (got.allocation.as_vector(), got.total_power, got.achieved_outage,
+                got.evaluations, got.levels) == (vec, total, outage, evaluations, levels)
+
+
 def test_identical_and_permuted_subcarriers_match_the_reference():
     rng = np.random.default_rng(81)
     base, _ = draw_feasible_samples(6, 0.5, 5.0, T2, seed=81)
@@ -172,12 +204,30 @@ def test_frontier_keeps_pairs_within_the_margin():
     assert sorted(pick[real].tolist()) == [0, 2]
 
 
+def test_frontier_drops_exactly_the_dominated_pairs():
+    # small integer costs and q levels: many equal costs, equal q values and
+    # dominating pairs several places before the pair they dominate
+    rng = np.random.default_rng(91)
+    cost = rng.integers(0, 12, size=(40, 16)).astype(float)
+    q = rng.integers(0, 6, size=(40, 16)) / 5
+    cost[:, -3:] = np.inf  # padding
+    pick, real = _frontier(cost, q, 0.5)
+    for c, v, kept in zip(cost, q, (p[r] for p, r in zip(pick, real))):
+        undominated = [i for i in range(16) if np.isfinite(c[i]) and not any(
+            v[j] >= v[i] and c[j] < c[i] - 0.5 for j in range(16))]
+        assert sorted(kept.tolist()) == undominated
+        assert (np.diff(c[kept]) >= 0).all()  # ascending cost
+
+
 def test_stop_reasons():
     stats = stats_from_sample(draw_feasible_samples(1, 0.5, 5.0, T2, seed=85)[0][0])
-    assert solve(stats, T2).stop_reason == "resolution"
-    assert solve(stats, T2, max_levels=0).stop_reason == "max_levels"
+    done = solve(stats, T2, 2e-2)
+    assert (done.stop_reason, done.accuracy) == ("resolution", 2e-2)
+    # a search that stops short of the resolution claims no accuracy
+    early = solve(stats, T2, max_levels=0)
+    assert (early.stop_reason, early.accuracy) == ("max_levels", None)
     capped = solve(stats, T2, shrink=0.99)
-    assert (capped.stop_reason, capped.levels) == ("level_cap", 64)
+    assert (capped.stop_reason, capped.levels, capped.accuracy) == ("level_cap", 64, None)
 
 
 # weak channels, loud noise: out of reach at the default caps
