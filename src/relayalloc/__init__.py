@@ -19,7 +19,6 @@ from .data import (
     build_dataset,
     draw_feasible_samples,
     generate_grid_samples,
-    generate_samples,
     label_dataset,
     load_dataset,
     save_dataset,
@@ -125,7 +124,7 @@ __all__ = [
     "power_axis_grid", "evaluation_budget",
     # datasets
     "DATASET_FORMAT", "Dataset", "DatasetRecord", "GenerationSpec",
-    "generate_samples", "generate_grid_samples", "draw_feasible_samples",
+    "generate_grid_samples", "draw_feasible_samples",
     "label_dataset", "build_dataset", "split", "stats_from_sample",
     "save_dataset", "load_dataset",
     # network

@@ -323,7 +323,10 @@ def _cmd_train(opts: dict, args: argparse.Namespace) -> tuple | None:
         f"relative error {last.rel_error:.6g}"
     )
     artifacts = {"model": opts["model_out"], "history": opts["history_out"]}
-    extra = {"final_loss": last.loss, "final_rel_error": last.rel_error, "layer_dims": dims}
+    steps = training.epochs * -(-len(dataset) // training.batch_size)  # the last batch may be short
+    extra = {"final_loss": last.loss, "final_rel_error": last.rel_error, "layer_dims": dims,
+             "training": {"steps": steps, "seconds": last.elapsed_sec,  # epochs and snapshots
+                          "steps_per_second": steps / last.elapsed_sec}}
     return opts["model_out"] + ".manifest.json", artifacts, extra
 
 

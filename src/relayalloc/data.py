@@ -131,17 +131,6 @@ def _check_range(range_lo: float, range_hi: float) -> None:
         )
 
 
-def generate_samples(count: int, range_lo: float, range_hi: float, t: int, seed: int) -> np.ndarray:
-    """(count, 4, t) i.i.d. uniform draws over [range_lo, range_hi]."""
-    _check_range(range_lo, range_hi)
-    if count < 1:
-        raise InvalidArgumentError(f"count must be >= 1, got {count}")
-    if t < 1:
-        raise InvalidArgumentError(f"t must be >= 1, got {t}")
-    rng = np.random.default_rng(seed)
-    return rng.uniform(range_lo, range_hi, size=(count, 4, t))
-
-
 def generate_grid_samples(levels: int, range_lo: float, range_hi: float, t: int) -> np.ndarray:
     """Full lattice with ``levels`` values per entry: (levels^(4t), 4, t)."""
     _check_range(range_lo, range_hi)

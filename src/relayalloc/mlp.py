@@ -12,7 +12,10 @@ Inference is batch-invariant: row i of a ``forward`` batch is bitwise the
 single-row answer. BLAS gemm picks different kernels for one row and for
 many, so ``forward`` multiplies each row as its own one-row product.
 Training (``gradients``, ``mse_loss``) needs no batch invariance and
-multiplies each batch with one gemm, the faster product.
+multiplies each batch with one gemm, the faster product. Every pass
+writes into preallocated buffers (a ``_Workspace``; Adam's temporaries
+live in ``AdamState``) in the operation order of the formulas here, so
+the results are bitwise those of the formulas.
 
 Everything here is plain numpy; gradients are computed analytically by
 backpropagation and verified against central differences in the tests.
@@ -108,6 +111,10 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
+    scratch: np.ndarray = field(init=False, repr=False)  # two temporaries like m
+
+    def __post_init__(self):
+        self.scratch = np.empty((2, self.m.size))
 
 
 @dataclass
@@ -165,13 +172,27 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic with one exp: exactly 0.0/1.0 beyond
     |z| = 40, and NaN stays NaN.
 
-    With e = exp(-|z|) it is 1/(1+e) for z >= 0 and e/(1+e) below; the
-    clip at 40 keeps exp from underflowing and changes nothing above 1e-17
-    (sigmoid(40) is within 4e-18 of 1)."""
-    z = np.asarray(z, dtype=float)
-    mag = np.abs(z)
-    e = np.where(mag > _SIGMOID_SAT, 0.0, np.exp(-np.minimum(mag, _SIGMOID_SAT)))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    With e = where(|z| > 40, 0, exp(-minimum(|z|, 40))) it is
+    where(z >= 0, 1, e) / (1 + e); the clip at 40 keeps exp from
+    underflowing and changes nothing above 1e-17 (sigmoid(40) is within
+    4e-18 of 1)."""
+    z = np.array(z, dtype=float)
+    _sigmoid_into(z, np.empty_like(z), np.empty_like(z))
+    return z[()]  # a scalar for 0-d input
+
+
+def _sigmoid_into(z, e, den) -> None:
+    """z <- sigmoid(z) in place, bitwise ``sigmoid``'s formula; e and den are
+    scratch like z. Unless some |z| > 40 (or NaN) the clip and its where are
+    skipped: they change nothing. maximum(e, sign(z)) is 1 for z >= 0, else e."""
+    np.abs(z, out=e)
+    big = None if e.max(initial=0.0) <= _SIGMOID_SAT else e > _SIGMOID_SAT
+    if big is not None:
+        np.minimum(e, _SIGMOID_SAT, out=e)
+    np.exp(np.negative(e, out=e), out=e)
+    if big is not None:
+        e[big] = 0.0
+    np.divide(np.maximum(e, np.sign(z, out=z), out=z), np.add(e, 1.0, out=den), out=z)
 
 
 def _validate_dims(layer_dims) -> tuple[int, ...]:
@@ -203,19 +224,58 @@ def init_adam(params: MlpParams, step_size: float = 1e-4, beta1: float = 0.9,
                      step=0, step_size=step_size, beta1=beta1, beta2=beta2, epsilon=epsilon)
 
 
-def _forward_acts(params: MlpParams, x: np.ndarray, invariant: bool):
-    """All layer activations for a 2-d input; acts[0] is the input.
+class _Workspace:
+    """Buffers for passes over ``rows`` inputs: layer r's activation ``acts[r]``
+    and scratch shared by layers of one width: the sigmoid's ``exps`` and
+    ``denoms``, which backprop's ``deltas`` reuse, and backprop's ``factors``."""
+
+    def __init__(self, layer_dims, rows: int):
+        widths = layer_dims[1:]
+        self.acts = [np.empty((rows, w)) for w in widths]
+        scratch = {w: np.empty((3, rows, w)) for w in set(widths)}
+        self.exps, self.denoms, self.factors = zip(*(scratch[w] for w in widths))
+        self.deltas = [(self.exps, self.denoms)[r % 2][r] for r in range(len(widths))]
+
+
+def _forward_into(params: MlpParams, x, ws: _Workspace, invariant=False) -> _Workspace:
+    """Fill ``ws.acts`` for the 2-d input x; returns ``ws``.
 
     ``invariant`` multiplies each row of a C-contiguous ``x`` as its own
     one-row product, so a row's result ignores the batch; otherwise one gemm.
     """
-    acts = [x]
     a = x
-    for w, b in zip(params.weights, params.biases):
-        z = np.matmul(a[:, None, :], w.T)[:, 0, :] if invariant else a @ w.T
-        a = sigmoid(z + b)
-        acts.append(a)
-    return acts
+    for w, b, z, e, den in zip(params.weights, params.biases, ws.acts, ws.exps, ws.denoms):
+        if invariant:
+            np.matmul(a[:, None, :], w.T, out=z.reshape(len(z), 1, -1))
+        else:
+            np.matmul(a, w.T, out=z)
+        _sigmoid_into(np.add(z, b, out=z), e, den)
+        a = z
+    return ws
+
+
+def _loss_into(ws: _Workspace, targets: np.ndarray) -> float:
+    """Loss of the last forward pass; leaves out - targets in ``ws.deltas[-1]``."""
+    diff = np.subtract(ws.acts[-1], targets, out=ws.deltas[-1])
+    return float(np.sum(np.multiply(diff, diff, out=ws.factors[-1])) / len(targets))
+
+
+def _backprop_into(params: MlpParams, x, targets, ws: _Workspace, grads: Gradients):
+    """Loss and backpropagated gradients of the batch (x, targets), written
+    into ``grads``, which is returned."""
+    grads.loss = _loss_into(_forward_into(params, x, ws), targets)
+    acts = [x, *ws.acts]
+    delta = np.multiply(ws.deltas[-1], 2.0 / len(x), out=ws.deltas[-1])
+    for layer in range(len(params.weights) - 1, -1, -1):
+        # dL/dz = delta a (1 - a), delta being (2/D)(out - target), then dL/dz @ W
+        a = acts[layer + 1]
+        np.multiply(np.multiply(delta, a, out=delta), np.subtract(1.0, a, out=ws.factors[layer]),
+                    out=delta)
+        np.matmul(delta.T, acts[layer], out=grads.d_weights[layer])
+        np.sum(delta, axis=0, out=grads.d_biases[layer])
+        if layer > 0:
+            delta = np.matmul(delta, params.weights[layer], out=ws.deltas[layer - 1])
+    return grads
 
 
 def forward(params: MlpParams, x) -> np.ndarray:
@@ -228,7 +288,8 @@ def forward(params: MlpParams, x) -> np.ndarray:
         raise InvalidArgumentError(
             f"input width {arr.shape[1]} does not match layer_dims[0]={params.n_in}"
         )
-    out = _forward_acts(params, arr, invariant=True)[-1]
+    ws = _Workspace(params.layer_dims, len(arr))
+    out = _forward_into(params, arr, ws, invariant=True).acts[-1]
     return out[0] if single else out
 
 
@@ -253,29 +314,17 @@ def mse_loss(params: MlpParams, batch: Batch) -> float:
     """(1/D) sum of squared output errors over the batch, from the training
     pass: bitwise the ``loss`` of ``gradients`` on the same batch."""
     _check_widths(params, batch)
-    diff = _forward_acts(params, batch.inputs, invariant=False)[-1] - batch.targets
-    return float(np.sum(diff * diff) / batch.size)
+    ws = _forward_into(params, batch.inputs, _Workspace(params.layer_dims, batch.size))
+    return _loss_into(ws, batch.targets)
 
 
 def gradients(params: MlpParams, batch: Batch) -> Gradients:
     """Backpropagated loss gradients, written straight into one gradient
     vector; loss comes for free from the same pass."""
     _check_widths(params, batch)
-    acts = _forward_acts(params, batch.inputs, invariant=False)
-    d = batch.size
-    out = acts[-1]
-    diff = out - batch.targets
-    loss = float(np.sum(diff * diff) / d)
-    # output layer: dL/dz = (2/D)(out - target) * sigmoid'(z), sigmoid' = a(1-a)
-    delta = (2.0 / d) * diff * out * (1.0 - out)
-    flat, d_w, d_b = _pack(params.weights, params.biases, np.empty_like(params.flat))
-    for layer in range(len(d_w) - 1, -1, -1):
-        np.matmul(delta.T, acts[layer], out=d_w[layer])
-        np.sum(delta, axis=0, out=d_b[layer])
-        if layer > 0:
-            a = acts[layer]
-            delta = (delta @ params.weights[layer]) * a * (1.0 - a)
-    return Gradients(d_weights=d_w, d_biases=d_b, loss=loss, flat=flat)
+    grads = Gradients(params.weights, params.biases, float("nan"))  # a buffer, all overwritten
+    return _backprop_into(params, batch.inputs, batch.targets,
+                          _Workspace(params.layer_dims, batch.size), grads)
 
 
 def adam_step(state: AdamState, params: MlpParams, grads: Gradients):
@@ -283,11 +332,13 @@ def adam_step(state: AdamState, params: MlpParams, grads: Gradients):
     advanced (state, params)."""
     state.step += 1
     b1, b2, g = state.beta1, state.beta2, grads.flat
-    state.m[:] = b1 * state.m + (1.0 - b1) * g
-    state.v[:] = b2 * state.v + (1.0 - b2) * (g * g)
-    mhat = state.m / (1.0 - b1**state.step)
-    vhat = state.v / (1.0 - b2**state.step)
-    params.flat -= state.step_size * mhat / (np.sqrt(vhat) + state.epsilon)
+    m, v, (t, u) = state.m, state.v, state.scratch
+    np.add(np.multiply(m, b1, out=m), np.multiply(g, 1.0 - b1, out=t), out=m)
+    np.add(np.multiply(v, b2, out=v), np.multiply(np.multiply(g, g, out=t), 1.0 - b2, out=t),
+           out=v)
+    step = np.multiply(np.divide(m, 1.0 - b1**state.step, out=t), state.step_size, out=t)
+    den = np.add(np.sqrt(np.divide(v, 1.0 - b2**state.step, out=u), out=u), state.epsilon, out=u)
+    np.subtract(params.flat, np.divide(step, den, out=t), out=params.flat)
     return state, params
 
 
@@ -349,8 +400,7 @@ def save_model(params: MlpParams, normalization: NormalizationSpec, path: str) -
         "biases": [b.tolist() for b in params.biases],
     }
     with atomic_open(path) as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")  # the C encoder; json.dump takes the Python one
 
 
 def load_model(path: str) -> tuple[MlpParams, NormalizationSpec]:

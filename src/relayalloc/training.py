@@ -30,12 +30,15 @@ from ._files import atomic_open
 from .data import Dataset, build_dataset, split
 from .errors import InvalidArgumentError, NonFiniteLossError
 from .gridsearch import SystemConfig, _outage, _row_totals
-from .mlp import (
+from .mlp import (  # noqa: F401 -- gradients: perfbench/layers.py wraps training.gradients
     Batch,
+    Gradients,
     MlpParams,
     NormalizationSpec,
+    _backprop_into,
     _decode_powers,
     _encode_powers,
+    _Workspace,
     adam_step,
     encode_input,
     forward,
@@ -148,6 +151,7 @@ def train(
     config.shuffle_seed, then walks consecutive batches (final short batch
     kept). Snapshots record full-training-set loss, validation relative
     error (NaN if no validation set) and wall-clock seconds.
+    Each epoch gathers the shuffled set once; steps run in buffers made once.
     """
     norm = normalization_for(dataset)
     x, y = dataset_arrays(dataset, norm)
@@ -165,19 +169,24 @@ def train(
     )
     shuffle_rng = np.random.default_rng(config.shuffle_seed)
     history = TrainingHistory()
-    n = x.shape[0]
+    n, size = x.shape[0], config.batch_size
+    xs, ys = np.empty_like(x), np.empty_like(y)
+    full, last = (_Workspace(params.layer_dims, rows)  # last: the final batch's rows
+                  for rows in (min(size, n), n - (n - 1) // size * size))
+    batches = [(slice(lo, lo + size), full if lo + size < n else last) for lo in range(0, n, size)]
+    grads = Gradients(params.weights, params.biases, float("nan"))  # a buffer, all overwritten
     start = time.perf_counter()
     for epoch in range(1, config.epochs + 1):
         perm = shuffle_rng.permutation(n)
-        for lo in range(0, n, config.batch_size):
-            idx = perm[lo : lo + config.batch_size]
-            grads = gradients(params, Batch(inputs=x[idx], targets=y[idx]))
+        np.take(x, perm, axis=0, out=xs, mode="clip")  # every index is in range
+        np.take(y, perm, axis=0, out=ys, mode="clip")
+        for k, (rows, ws) in enumerate(batches):
+            _backprop_into(params, xs[rows], ys[rows], ws, grads)
             if not np.isfinite(grads.loss):
                 raise NonFiniteLossError(
-                    f"non-finite loss {grads.loss!r} at epoch {epoch}, "
-                    f"batch {lo // config.batch_size}",
+                    f"non-finite loss {grads.loss!r} at epoch {epoch}, batch {k}",
                     epoch=epoch,
-                    batch_index=lo // config.batch_size,
+                    batch_index=k,
                     loss=grads.loss,
                 )
             state, params = adam_step(state, params, grads)

@@ -297,6 +297,11 @@ def test_train_and_eval_pipeline(tmp_path, capsys):
     assert [row.split(",")[0] for row in lines[1:]] == ["2", "3"]
     manifest = json.loads((tmp_path / "model.json.manifest.json").read_text())
     assert manifest["layer_dims"] == [4, 4, 2]
+    throughput = manifest["training"]
+    assert throughput["steps"] == 3 * 3  # 3 epochs of 6 records in batches of 2
+    assert 0 < throughput["seconds"] <= manifest["wall_clock_sec"]
+    assert throughput["steps_per_second"] == throughput["steps"] / throughput["seconds"]
+    assert "training" not in model.read_text()  # the model file carries no timings
 
     comparison = tmp_path / "cmp.csv"
     assert main(["eval", "--model", str(model), "--data", str(val),

@@ -21,7 +21,6 @@ from relayalloc import (
     draw_feasible_samples,
     feasibility_check,
     generate_grid_samples,
-    generate_samples,
     label_dataset,
     load_dataset,
     save_dataset,
@@ -40,6 +39,10 @@ def tiny_dataset(count=4, seed=101):
     return build_dataset(CFG, count, 0.5, 5.0, seed, 1e-2, solver_kwargs=SOLVER)
 
 
+def uniform_samples(count, t, seed):
+    return np.random.default_rng(seed).uniform(0.5, 5.0, size=(count, 4, t))
+
+
 def records_equal(a: DatasetRecord, b: DatasetRecord) -> bool:
     return (
         (a.sample == b.sample).all()
@@ -48,18 +51,6 @@ def records_equal(a: DatasetRecord, b: DatasetRecord) -> bool:
         and a.achieved_outage == b.achieved_outage
         and a.evaluations == b.evaluations
     )
-
-
-def test_uniform_samples_are_seeded_and_in_range():
-    a = generate_samples(10, 0.5, 5.0, 2, seed=3)
-    b = generate_samples(10, 0.5, 5.0, 2, seed=3)
-    c = generate_samples(10, 0.5, 5.0, 2, seed=4)
-    assert a.shape == (10, 4, 2)
-    assert (a == b).all()
-    assert (a != c).any()
-    assert ((a >= 0.5) & (a <= 5.0)).all()
-    with pytest.raises(InvalidArgumentError):
-        generate_samples(10, 5.0, 0.5, 2, seed=0)
 
 
 def test_grid_samples_form_a_lattice():
@@ -83,7 +74,7 @@ def test_feasible_draws_reject_and_are_deterministic():
 
 
 def test_labeling_is_in_order_and_matches_direct_solves():
-    samples = generate_samples(3, 0.5, 5.0, 1, seed=23)
+    samples = uniform_samples(3, 1, seed=23)
     dataset = label_dataset(samples, CFG, 1e-2, solver_kwargs=SOLVER)
     assert len(dataset) == 3
     for v, rec in zip(samples, dataset.records):
@@ -116,7 +107,7 @@ def test_parallel_labeling_matches_sequential():
     # two full chunks and a short one; progress is reported once per chunk
     options = _search_options(SOLVER)
     size = _batch_size(CFG.t, options["grid0"], options["refine_points"])
-    samples = generate_samples(2 * size + 3, 0.5, 5.0, 1, seed=37)
+    samples = uniform_samples(2 * size + 3, 1, seed=37)
     calls = {1: [], 2: []}
     seq, par = (
         label_dataset(samples, CFG, 1e-2, workers=workers, solver_kwargs=SOLVER,
@@ -130,7 +121,7 @@ def test_parallel_labeling_matches_sequential():
 
 
 def test_labeling_reports_stop_reasons():
-    samples = generate_samples(5, 0.5, 5.0, 1, seed=38)
+    samples = uniform_samples(5, 1, seed=38)
     capped = label_dataset(samples, CFG, 1e-2, solver_kwargs=SOLVER).labeling
     assert capped["stop_reasons"] == {"resolution": 0, "max_levels": 5, "level_cap": 0}
     assert capped["seconds"] > 0

@@ -1,16 +1,23 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import relayalloc.training
 from relayalloc import (
     Batch,
     Gradients,
     InvalidArgumentError,
     MlpParams,
+    NonFiniteLossError,
     PowerAllocation,
     SchemaError,
+    SystemConfig,
+    TrainingConfig,
     adam_step,
+    build_dataset,
+    dataset_arrays,
     decode_output,
     encode_input,
     encode_target,
@@ -23,6 +30,7 @@ from relayalloc import (
     mse_loss,
     save_model,
     sigmoid,
+    train,
 )
 from relayalloc.mlp import NormalizationSpec
 
@@ -268,7 +276,7 @@ def reference_training(params, batches, lr, b1=0.9, b2=0.999, eps=1e-8):
     for t, batch in enumerate(batches, start=1):
         acts = [batch.inputs]
         for w, b in zip(theta[:n], theta[n:]):
-            acts.append(sigmoid(acts[-1] @ w.T + b))
+            acts.append(two_branch_sigmoid(acts[-1] @ w.T + b))
         out = acts[-1]
         delta = (2.0 / batch.size) * (out - batch.targets) * out * (1.0 - out)
         grads = [None] * (2 * n)
@@ -300,6 +308,61 @@ def test_flat_training_equals_per_array_reference_bitwise():
         (state.v_weights + state.v_biases, v),
     ]:
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@pytest.fixture(scope="module")
+def t2_dataset():
+    config = SystemConfig(n=2, t=2, m=2, psi_th=1e-2, pt_max=5000.0, pr_max=5000.0)
+    return build_dataset(config, 100, 0.5, 5.0, 41, 1e-2,
+                         solver_kwargs={"grid0": 8, "max_levels": 2})
+
+
+@pytest.mark.parametrize("dims, batch_size, epochs, saturate", [
+    ([8, 64, 64, 4], 32, 4, False),  # 100 records: three batches of 32 and one of 4
+    ([8, 64, 64, 4], 100, 6, False),  # batch size = n
+    ([8, 16, 4], 250, 6, False),  # batch size > n
+    ([8, 128, 128, 128, 4], 32, 2, False),
+    ([8, 64, 64, 4], 32, 3, True),  # some |z| > 40: the sigmoid's saturating branch
+])
+def test_train_equals_per_array_reference_bitwise(t2_dataset, monkeypatch, dims, batch_size,
+                                                  epochs, saturate):
+    params = init_mlp(dims, seed=33)
+    if saturate:
+        params.weights[0][0] *= 300.0
+    x, y = dataset_arrays(t2_dataset)
+    z = x @ params.weights[0].T
+    assert (np.abs(z) > 40).any() == saturate and (np.abs(z) <= 40).any()
+    config = TrainingConfig(epochs=epochs, batch_size=batch_size, step_size=1e-3,
+                            shuffle_seed=34, snapshot_every=2)
+    rng = np.random.default_rng(config.shuffle_seed)
+    batches = []
+    for _ in range(epochs):
+        perm = rng.permutation(len(x))
+        batches += [Batch(inputs=x[idx], targets=y[idx])
+                    for idx in np.split(perm, range(batch_size, len(x), batch_size))]
+    theta, m, v = reference_training(params, batches, lr=config.step_size)
+    states = []
+    monkeypatch.setattr(relayalloc.training, "init_adam",
+                        lambda *a, **k: states.append(init_adam(*a, **k)) or states[-1])
+    trained, _ = train(params, t2_dataset, config)
+    assert trained is params and states[0].step == len(batches)
+    for got, want in [(params.weights + params.biases, theta),
+                      (states[0].m_weights + states[0].m_biases, m),
+                      (states[0].v_weights + states[0].v_biases, v)]:
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_non_finite_loss_leaves_the_last_finite_step(t2_dataset):
+    # one step per epoch; steps this large overflow the weights within a few epochs
+    config = TrainingConfig(epochs=50, batch_size=100, step_size=1e308, snapshot_every=1)
+    params = init_mlp([8, 16, 4], seed=35)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteLossError) as err:
+            train(params, t2_dataset, config)
+        assert err.value.epoch >= 2 and err.value.batch_index == 0
+        last_finite, _ = train(init_mlp([8, 16, 4], seed=35), t2_dataset,
+                               replace(config, epochs=err.value.epoch - 1))
+    assert params.flat.tobytes() == last_finite.flat.tobytes()
 
 
 def test_parameters_and_moments_are_views_of_one_vector():
