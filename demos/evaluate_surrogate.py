@@ -25,7 +25,7 @@ config = SystemConfig(n=2, t=1, m=2)
 full = build_dataset(config, 240, 0.5, 5.0, seed=1001, delta=1e-2)
 train_set, val_set = split(full, validation_count=40, seed=902)
 
-params = init_mlp([4 * config.t, 16, 2 * config.t], seed=7)
+params = init_mlp([4 * config.cols, 16, 2 * config.cols], seed=7)
 schedule = TrainingConfig(epochs=2000, batch_size=16, step_size=1e-3, shuffle_seed=99)
 params, _ = train(params, train_set, schedule, validation=val_set)
 

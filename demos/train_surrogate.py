@@ -31,7 +31,7 @@ print(
     f"({full.gen.rejected} infeasible draws rejected)"
 )
 
-params = init_mlp([4 * config.t, 16, 2 * config.t], seed=7)
+params = init_mlp([4 * config.cols, 16, 2 * config.cols], seed=7)
 schedule = TrainingConfig(
     epochs=2000,
     batch_size=16,

@@ -56,6 +56,7 @@ from .outage import SubcarrierStats
 from .training import (
     SweepSpec,
     TrainingConfig,
+    _layer_dims,
     average_histories,
     compare_against_labels,
     normalization_for,
@@ -308,10 +309,7 @@ _TRAIN_OPTIONS = (
 def _cmd_train(opts: dict, args: argparse.Namespace) -> tuple | None:
     dataset = load_dataset(opts["data"])
     validation = load_dataset(opts["val_data"]) if opts["val_data"] else None
-    hidden = _parse_list(opts["hidden"], int, "--hidden")
-    if not hidden or min(hidden) < 1:
-        raise InvalidArgumentError(f"hidden layer sizes must be >= 1, got {list(hidden)}")
-    dims = [4 * dataset.config.t, *hidden, 2 * dataset.config.t]
+    dims = _layer_dims(dataset.config, _parse_list(opts["hidden"], int, "--hidden"))
     params = init_mlp(dims, opts["init_seed"])
     training = TrainingConfig(**_pick(_TRAINING, opts))
     params, history = run_train(params, dataset, training, validation=validation)

@@ -1,14 +1,14 @@
 """Dataset generation, labeling, splitting and JSON-lines persistence.
 
-A sample is a 4xT matrix of per-subcarrier statistics, rows ordered
-(mu1, mu2, eta1, eta2). Labels are the grid-search allocations. Files are
-JSON lines: one header object holding the system configuration and the
-generation metadata, then one object per record. Floats are serialized
-with shortest round-trip precision, so save -> load is bit-exact;
-``load_dataset`` re-validates every documented invariant and refuses
-files that fail any of them (a wrongly typed field included; nothing is
-coerced), reporting the first failing line. Feasibility filters and label
-re-checks take one batched outage call per dataset.
+A sample is a (4, ``SystemConfig.cols``) matrix of per-subcarrier
+statistics, rows (mu1, mu2, eta1, eta2). Labels are the grid-search
+allocations. Files are JSON lines: one header object holding the system
+configuration and the generation metadata, then one object per record.
+Floats are serialized with shortest round-trip precision, so save -> load
+is bit-exact; ``load_dataset`` re-validates every documented invariant and
+refuses files that fail any of them (a wrongly typed field included;
+nothing is coerced), reporting the first failing line. Feasibility filters
+and label re-checks take one batched outage call per dataset.
 
 A ``Dataset`` stores its records and builds, once, the read-only column
 views that the loader's checks, training and evaluation read instead.
@@ -40,12 +40,14 @@ from .gridsearch import (
     PowerAllocation,
     SystemConfig,
     _batch_size,
-    _cols,
+    _budget_error,
+    _check_cols,
     _outage,
     _outage_at_caps,
     _row_totals,
     _search_options,
     _solve_batch,
+    evaluation_budget,
 )
 # Not called here; perfbench/layers.py traces these names.
 from .gridsearch import feasibility_check, solve  # noqa: F401
@@ -75,7 +77,7 @@ class GenerationSpec:
 
 @dataclass(frozen=True)
 class DatasetRecord:
-    sample: np.ndarray  # (4, T), read-only by convention
+    sample: np.ndarray  # (4, cols), read-only by convention
     label: PowerAllocation
     total_power: float
     achieved_outage: float
@@ -97,7 +99,7 @@ class Dataset:
     @cached_property
     def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The one place the records become arrays."""
-        n, cols = len(self.records), _cols(self.config)
+        n, cols = len(self.records), self.config.cols
         columns = (
             np.array([r.sample for r in self.records], float).reshape(n, 4, cols),
             np.array([r.label.as_vector() for r in self.records], float).reshape(n, 2 * cols),
@@ -131,13 +133,13 @@ def _check_range(range_lo: float, range_hi: float) -> None:
         )
 
 
-def generate_grid_samples(levels: int, range_lo: float, range_hi: float, t: int) -> np.ndarray:
-    """Full lattice with ``levels`` values per entry: (levels^(4t), 4, t)."""
+def generate_grid_samples(levels: int, range_lo: float, range_hi: float, cols: int) -> np.ndarray:
+    """Full lattice with ``levels`` values per entry: (levels^(4 cols), 4, cols)."""
     _check_range(range_lo, range_hi)
     if levels < 2:
         raise InvalidArgumentError(f"levels must be >= 2, got {levels}")
     axis = np.linspace(range_lo, range_hi, levels)
-    return np.array(list(itertools.product(axis, repeat=4 * t))).reshape(-1, 4, t)
+    return np.array(list(itertools.product(axis, repeat=4 * cols))).reshape(-1, 4, cols)
 
 
 def draw_feasible_samples(
@@ -152,16 +154,23 @@ def draw_feasible_samples(
 
     Draws come in chunks from one generator, which yields the same values
     as one draw at a time; rejections are counted up to the last kept draw.
+    Phi falls with mu1, mu2 and rises with eta1, eta2: if the corner
+    mu = range_hi, eta = range_lo misses the cap, so does every draw.
     """
     _check_range(range_lo, range_hi)
     if count < 1:
         raise InvalidArgumentError(f"count must be >= 1, got {count}")
+    ideal = np.repeat([[range_hi], [range_hi], [range_lo], [range_lo]], config.cols, axis=1)
+    best = float(_outage_at_caps(ideal, config))
+    if not best <= config.psi_th:
+        raise InfeasibleProblemError(f"no statistics in [{range_lo}, {range_hi}] meet the cap: "
+                                     f"the best has outage {best:.3e} > psi_th={config.psi_th:.3e}")
     rng = np.random.default_rng(seed)
     kept: list[np.ndarray] = []
     need = count
     rejected = 0
     while need > 0:
-        draws = rng.uniform(range_lo, range_hi, size=(max(2 * need, _MIN_DRAW_CHUNK), 4, config.t))
+        draws = rng.uniform(range_lo, range_hi, size=(max(2 * need, _MIN_DRAW_CHUNK), *ideal.shape))
         ok = np.flatnonzero(_outage_at_caps(draws, config) <= config.psi_th)[:need]
         if len(ok) == need:
             rejected += int(ok[-1]) + 1 - need
@@ -197,10 +206,9 @@ def label_dataset(
     chunk. The dataset's ``labeling`` tells the wall time and stop reasons.
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 3 or samples.shape[1] != 4 or samples.shape[2] != config.t:
-        raise InvalidArgumentError(
-            f"expected samples shaped (count, 4, {config.t}), got {samples.shape}"
-        )
+    if samples.ndim != 3 or samples.shape[1] != 4:
+        raise InvalidArgumentError(f"expected samples shaped (count, 4, cols), got {samples.shape}")
+    _check_cols(samples.shape[2], config)
     started = time.perf_counter()
     options = _search_options(solver_kwargs or {})
     invalid = np.flatnonzero(~(np.isfinite(samples) & (samples > 0)).all(axis=(1, 2)))
@@ -250,14 +258,18 @@ def build_dataset(
     solver_kwargs: dict | None = None,
     progress=None,
 ) -> Dataset:
-    """Draw feasible samples and label them; the gen-data orchestration."""
+    """The gen-data orchestration: refuse an over-budget level-0 grid, then draw and label."""
+    options = _search_options(solver_kwargs or {})
+    cells = evaluation_budget(config.cols, options["grid0"], options["refine_points"], 0)
+    if cells > options["max_evaluations"]:
+        raise _budget_error(0, cells, options["max_evaluations"], 0)
     if sampler == "uniform":
         samples, rejected = draw_feasible_samples(count, range_lo, range_hi, config, seed)
         grid_levels = None
     elif sampler == "grid":
         if grid_levels is None:
             raise InvalidArgumentError("grid sampler needs grid_levels")
-        lattice = generate_grid_samples(grid_levels, range_lo, range_hi, config.t)
+        lattice = generate_grid_samples(grid_levels, range_lo, range_hi, config.cols)
         samples = lattice[_outage_at_caps(lattice, config) <= config.psi_th]
         if len(samples) == 0:
             raise InfeasibleProblemError("no lattice point is feasible at the power caps")
@@ -311,7 +323,7 @@ def save_dataset(dataset: Dataset, path: str) -> None:
             "generation": _gen_doc(dataset.gen),
         }
         fh.write(json.dumps(header) + "\n")
-        cols = _cols(dataset.config)
+        cols = dataset.config.cols
         for rec, v, label in zip(dataset.records, dataset.samples.tolist(),
                                  dataset.labels.tolist()):
             doc = {
@@ -422,18 +434,17 @@ def _read_record(
         )
     except _MALFORMED as exc:
         raise SchemaError(f"{path}:{lineno}: malformed record: {exc}") from exc
-    expect_cols = _cols(config)
-    if rec.sample.shape != (4, expect_cols):
+    if rec.sample.shape != (4, config.cols):
         raise InvariantViolationError(
-            f"{path}:{lineno}: sample shape {rec.sample.shape} != (4, {expect_cols})"
+            f"{path}:{lineno}: sample shape {rec.sample.shape} != (4, {config.cols})"
         )
     if (rec.sample < gen.range_lo).any() or (rec.sample > gen.range_hi).any():
         raise InvariantViolationError(
             f"{path}:{lineno}: sample entries escape [{gen.range_lo}, {gen.range_hi}]"
         )
-    if len(rec.label.pt) != expect_cols:
+    if len(rec.label.pt) != config.cols:
         raise InvariantViolationError(
-            f"{path}:{lineno}: label length {len(rec.label.pt)} != {expect_cols}"
+            f"{path}:{lineno}: label length {len(rec.label.pt)} != {config.cols}"
         )
     if max(rec.label.pt) > config.pt_max or max(rec.label.pr) > config.pr_max:
         raise InvariantViolationError(f"{path}:{lineno}: label exceeds the power caps")

@@ -127,6 +127,11 @@ class SystemConfig:
                 f"outage_mode must be one of {OUTAGE_MODES}, got {self.outage_mode!r}"
             )
 
+    @property
+    def cols(self) -> int:
+        """Statistics columns per sample: the active subcarriers, or all of them."""
+        return self.t if self.outage_mode == "single-sap" else self.n
+
 
 @dataclass(frozen=True)
 class PowerAllocation:
@@ -192,22 +197,17 @@ def evaluation_budget(t: int, grid0: int, refine_points: int, levels: int) -> in
     return grid0 ** (2 * t) + levels * refine_points ** (2 * t)
 
 
-def _cols(config: SystemConfig) -> int:
-    """Statistics columns per sample: the active subcarriers, or all of them."""
-    return config.t if config.outage_mode == "single-sap" else config.n
-
-
 def _check_cols(count: int, config: SystemConfig) -> None:
-    if count == _cols(config):
-        return
-    if config.outage_mode == "single-sap":
+    if count != config.cols:
         raise InvalidArgumentError(
-            f"single-sap mode parameterizes the {config.t} active subcarriers, "
-            f"got {count} stats"
+            f"{config.outage_mode} mode needs stats for {config.cols} subcarriers, got {count}"
         )
-    raise InvalidArgumentError(
-        f"sap-averaged mode needs stats for all {config.n} subcarriers, got {count}"
-    )
+
+
+def _budget_error(level: int, cells: int, max_evaluations: int, used: int) -> BudgetExceededError:
+    return BudgetExceededError(f"level {level} needs {cells} evaluations, exceeding the cap "
+                               f"of {max_evaluations} (used {used}); raise max_evaluations "
+                               f"or coarsen the grids")
 
 
 def _stats_matrix(stats, config: SystemConfig) -> np.ndarray:
@@ -232,9 +232,7 @@ def _outage(samples, vec, config: SystemConfig) -> np.ndarray:
 
 def _outage_at_caps(samples, config: SystemConfig) -> np.ndarray:
     """Block outage of (..., 4, cols) statistic matrices at the power caps."""
-    cols = np.shape(samples)[-1]
-    _check_cols(cols, config)
-    return _outage(samples, np.repeat([config.pt_max, config.pr_max], cols), config)
+    return _outage(samples, np.repeat([config.pt_max, config.pr_max], config.cols), config)
 
 
 def feasibility_check(stats, config: SystemConfig) -> FeasibilityResult:
@@ -361,11 +359,10 @@ def _gate_failures(samples: np.ndarray, config: SystemConfig) -> dict:
 
 def _results(samples, config, totals, vectors, accuracy, evaluations, levels, stops):
     """OracleResults of (n, 2t) best vectors, outages re-checked in one call."""
-    t_dims = samples.shape[2]
     achieved = _outage(samples, vectors, config).tolist()
     return [
         OracleResult(
-            allocation=PowerAllocation(pt=tuple(vec[:t_dims]), pr=tuple(vec[t_dims:])),
+            allocation=PowerAllocation(pt=tuple(vec[:config.cols]), pr=tuple(vec[config.cols:])),
             total_power=total,
             achieved_outage=outage,
             feasible=outage <= config.psi_th,
@@ -473,11 +470,7 @@ def _solve_batch(
         for i, sizes in zip(idx.tolist(), (points[:, :t_dims] * points[:, t_dims:]).tolist()):
             cells = math.prod(sizes)
             if evaluations[i] + cells > max_evaluations:
-                failures[i] = BudgetExceededError(
-                    f"level {level} needs {cells} evaluations, exceeding the cap of "
-                    f"{max_evaluations} (used {evaluations[i]}); raise max_evaluations or "
-                    f"coarsen the grids"
-                )
+                failures[i] = _budget_error(level, cells, max_evaluations, evaluations[i])
             else:
                 evaluations[i] += cells
         if failures:
@@ -540,13 +533,12 @@ def brute_force_reference(stats, config: SystemConfig, grid_points_per_axis: int
     failures = _gate_failures(stats[None], config)
     if failures:
         raise failures[0]
-    t_dims = stats.shape[1]
     pt_axis = power_axis_grid(config.pt_max, grid_points_per_axis)
     pr_axis = power_axis_grid(config.pr_max, grid_points_per_axis)
     pairs = [(float(a), float(b)) for a in pt_axis for b in pr_axis]
     best = None
     evaluations = 0
-    for combo in itertools.product(pairs, repeat=t_dims):
+    for combo in itertools.product(pairs, repeat=config.cols):
         evaluations += 1
         vec = (*(a for a, _ in combo), *(b for _, b in combo))
         outage = _outage(stats, vec, config)

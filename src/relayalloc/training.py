@@ -38,6 +38,7 @@ from .mlp import (  # noqa: F401 -- gradients: perfbench/layers.py wraps trainin
     _backprop_into,
     _decode_powers,
     _encode_powers,
+    _validate_dims,
     _Workspace,
     adam_step,
     encode_input,
@@ -121,6 +122,11 @@ def normalization_for(dataset: Dataset) -> NormalizationSpec:
         pt_max=dataset.config.pt_max,
         pr_max=dataset.config.pr_max,
     )
+
+
+def _layer_dims(config: SystemConfig, hidden) -> tuple[int, ...]:
+    """Network widths for ``config``'s samples: 4 cols inputs, 2 cols outputs."""
+    return _validate_dims((4 * config.cols, *hidden, 2 * config.cols))
 
 
 def dataset_arrays(dataset: Dataset, norm: NormalizationSpec | None = None):
@@ -358,8 +364,9 @@ class SweepSpec:
             raise InvalidArgumentError(f"unknown experiment {self.experiment!r}")
         if not self.grid:
             raise InvalidArgumentError("sweep grid is empty")
-        if self.repeats < 1:
-            raise InvalidArgumentError("repeats must be >= 1")
+        for name in ("repeats", "train_count", "validation_count"):
+            if getattr(self, name) < 1:
+                raise InvalidArgumentError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -390,18 +397,18 @@ def sweep(
     fresh initialization; datasets are regenerated per grid value for the
     outage-threshold experiment because labels depend on psi_th.
     """
-    runs = []
-    for vi, value in enumerate(spec.grid):
+    plan = []
+    for value in spec.grid:
         if spec.experiment == "neurons":
-            hidden = [int(value)] * spec.hidden_layers
-            config = system
+            config, hidden = system, [int(value)] * spec.hidden_layers
         elif spec.experiment == "layers":
-            hidden = [spec.neurons] * int(value)
-            config = system
+            config, hidden = system, [spec.neurons] * int(value)
         else:
-            hidden = [spec.neurons] * spec.hidden_layers
             config = replace(system, psi_th=float(value))
-        dims = [4 * config.t, *hidden, 2 * config.t]
+            hidden = [spec.neurons] * spec.hidden_layers
+        plan.append((config, _layer_dims(config, hidden)))
+    runs = []
+    for vi, (value, (config, dims)) in enumerate(zip(spec.grid, plan)):
         for rep in range(spec.repeats):
             seeds = {
                 "data": _derived_seed(spec.base_seed, vi, rep, 0),

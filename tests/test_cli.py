@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import relayalloc
 from relayalloc import (
     NonFiniteLossError,
     init_mlp,
@@ -248,12 +250,15 @@ def test_mod_order_must_be_a_power_of_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args", [
-    ["gen-data", "--active", "3", "--subcarriers", "4", "--count", "2"],
-    ["solve", "--max-evaluations", "10", "--stats", "1,1,1,1", "--stats", "2,2,1,1"],
+    ["gen-data", "--active", "3", "--subcarriers", "4", "--count", "2", "--out"],
+    ["solve", "--max-evaluations", "10", "--stats", "1,1,1,1", "--stats", "2,2,1,1", "--out"],
+    # four subcarriers' statistics per sample, refused before any is drawn
+    ["gen-data", "--outage-mode", "sap-averaged", "--count", "2", "--out"],
+    ["sweep", "--outage-mode", "sap-averaged", "--grid", "4", "--repeats", "1", "--out-dir"],
 ])
 def test_search_budget_exceeded_exits_6(tmp_path, capsys, args):
     out = tmp_path / "out.json"
-    assert main([*args, "--out", str(out)]) == 6
+    assert main([*args, str(out)]) == 6
     err = capsys.readouterr().err
     assert "search budget exceeded: level 0 needs" in err
     assert "Traceback" not in err
@@ -311,6 +316,43 @@ def test_train_and_eval_pipeline(tmp_path, capsys):
     rows = comparison.read_text().splitlines()
     assert rows[0] == "sample_id,ann_total,oracle_total,gap"
     assert len(rows) == 3
+
+
+def test_sap_averaged_pipeline_sizes_everything_by_all_subcarriers(tmp_path, capsys):
+    # samples carry all n = 2 subcarriers, so the network is 8 -> 2n = 4
+    system = ["--outage-mode", "sap-averaged", *SMALL_SYSTEM]
+    data, val = tmp_path / "train.jsonl", tmp_path / "val.jsonl"
+    assert main(["gen-data", *system, "--count", "6", "--validation-count", "2",
+                 "--out", str(data), "--val-out", str(val)]) == 0
+    assert load_dataset(str(data)).samples.shape == (6, 4, 2)
+    model = tmp_path / "model.json"
+    assert main(train_args(data, val, model, tmp_path / "history.csv")) == 0
+    manifest = json.loads((tmp_path / "model.json.manifest.json").read_text())
+    assert manifest["layer_dims"] == [8, 4, 4]
+    comparison = tmp_path / "cmp.csv"
+    assert main(["eval", "--model", str(model), "--data", str(val), "--repair", "scale-up",
+                 "--out", str(comparison)]) == 0
+    assert len(comparison.read_text().splitlines()) == 3
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", *system, "--grid", "3", "--repeats", "1", "--train-count", "4",
+                 "--validation-count", "2", "--epochs", "2", "--batch-size", "2",
+                 "--snapshot-every", "1", "--out-dir", str(out_dir)]) == 0
+    assert "neurons=3: mean final relative error" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cap", ["1e-6", "1.0"])
+def test_gen_data_refuses_caps_no_statistic_can_meet(tmp_path, cap):
+    # a subprocess with a timeout, so a generator that redraws forever fails
+    src = os.path.dirname(os.path.dirname(relayalloc.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "relayalloc.cli", "gen-data", "--pt-max", cap, "--pr-max", cap,
+         "--count", "2", "--out", str(tmp_path / "data.jsonl")],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 3
+    assert "infeasible: no statistics in [0.5, 5.0] meet the cap" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_reruns_are_byte_identical(tmp_path):

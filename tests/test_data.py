@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from relayalloc import (
     Dataset,
     DatasetRecord,
     GenerationSpec,
+    BudgetExceededError,
     InfeasibleProblemError,
     InvalidArgumentError,
     InvariantViolationError,
@@ -300,7 +302,7 @@ def draw_one_at_a_time(count, range_lo, range_hi, config, seed):
     rng = np.random.default_rng(seed)
     kept, rejected = [], 0
     while len(kept) < count:
-        v = rng.uniform(range_lo, range_hi, size=(4, config.t))
+        v = rng.uniform(range_lo, range_hi, size=(4, config.cols))
         if feasibility_check(stats_from_sample(v), config).feasible:
             kept.append(v)
         else:
@@ -315,6 +317,7 @@ def draw_one_at_a_time(count, range_lo, range_hi, config, seed):
         (SystemConfig(psi_th=1e-3), 60, 0.05, 1.0),  # a few rejected
         (SystemConfig(n=2, t=1, psi_th=1e-2, pt_max=20.0, pr_max=20.0), 20, 0.5, 5.0),  # most
         (SystemConfig(n=3, t=3, psi_th=1e-3), 25, 0.1, 3.0),
+        (SystemConfig(n=3, t=1, outage_mode="sap-averaged", psi_th=1e-3), 25, 0.1, 3.0),
     ],
 )
 def test_chunked_draws_match_one_at_a_time(config, count, range_lo, range_hi):
@@ -324,6 +327,50 @@ def test_chunked_draws_match_one_at_a_time(config, count, range_lo, range_hi):
         assert samples.tobytes() == ref.tobytes()
         assert samples.shape == ref.shape
         assert rejected == ref_rejected
+
+
+def test_draws_refuse_a_range_no_statistic_of_which_meets_the_cap():
+    # Phi falls with mu and rises with eta: the corner mu = hi, eta = lo is
+    # the most favourable, so when it misses the cap no draw can meet it
+    config = SystemConfig(n=4, t=2, outage_mode="sap-averaged", pt_max=1.0, pr_max=1.0)
+    corner = np.repeat([[5.0], [5.0], [0.5], [0.5]], 4, axis=1)
+    best = feasibility_check(stats_from_sample(corner), config).outage
+    draws = np.random.default_rng(3).uniform(0.5, 5.0, (500, 4, 4))
+    assert min(feasibility_check(stats_from_sample(v), config).outage for v in draws) >= best
+    assert best > config.psi_th
+    with pytest.raises(InfeasibleProblemError, match=r"no statistics in \[0.5, 5.0\] meet"):
+        draw_feasible_samples(2, 0.5, 5.0, config, seed=1)
+    # a cap the corner meets lets the draws through
+    assert len(draw_feasible_samples(2, 0.5, 5.0, replace(config, psi_th=0.9), seed=1)[0]) == 2
+
+
+@pytest.mark.parametrize("sampler", ["uniform", "grid"])
+@pytest.mark.parametrize("config, solver_kwargs", [
+    (SystemConfig(n=3, t=1, outage_mode="sap-averaged"), {}),  # 12^6 cells at level 0
+    (SystemConfig(), {"max_evaluations": 12**4 - 1}),
+])
+def test_build_dataset_refuses_the_budget_before_sampling(monkeypatch, sampler, config,
+                                                          solver_kwargs):
+    def never(*args, **kwargs):
+        raise AssertionError("sampled before the budget check")
+
+    monkeypatch.setattr("relayalloc.data.draw_feasible_samples", never)
+    monkeypatch.setattr("relayalloc.data.generate_grid_samples", never)
+    with pytest.raises(BudgetExceededError) as refused:
+        build_dataset(config, 5, 0.5, 5.0, 1, 1e-2, sampler=sampler, grid_levels=3,
+                      solver_kwargs=solver_kwargs)
+    # the text the search itself gives on the first sample
+    stats = [SubcarrierStats(5.0, 5.0, 0.5, 0.5)] * config.cols
+    with pytest.raises(BudgetExceededError) as searched:
+        solve(stats, config, **solver_kwargs)
+    assert str(refused.value) == str(searched.value)
+    assert str(refused.value).startswith("level 0 needs ")
+
+
+def test_build_dataset_takes_a_budget_it_fits_exactly():
+    dataset = build_dataset(CFG, 2, 0.5, 5.0, 1, 1e-2,
+                            solver_kwargs={"grid0": 8, "max_levels": 0, "max_evaluations": 8**2})
+    assert [rec.evaluations for rec in dataset.records] == [64, 64]
 
 
 def replace_field(line: str, field: str, value) -> str:

@@ -104,7 +104,7 @@ def test_result_satisfies_constraints_and_reports():
     assert all(0 <= p <= config.pr_max for p in res.allocation.pr)
     assert res.accuracy == 1e-2
     assert res.total_power == res.allocation.total_power
-    assert res.evaluations <= evaluation_budget(config.t, 12, 9, res.levels)
+    assert res.evaluations <= evaluation_budget(config.cols, 12, 9, res.levels)
 
 
 def test_stop_condition_spacing():
@@ -113,7 +113,7 @@ def test_stop_condition_spacing():
     stats = random_stats(rng)
     delta, shrink, refine_points = 1e-2, 0.6, 9
     res = solve(stats, config, delta, shrink=shrink, refine_points=refine_points)
-    caps = [config.pt_max] * config.t + [config.pr_max] * config.t
+    caps = [config.pt_max] * config.cols + [config.pr_max] * config.cols
     spacing = [2.0 * cap * shrink**res.levels / (refine_points - 1) for cap in caps]
     targets = [
         delta * max(x, delta * cap)
@@ -268,7 +268,7 @@ def per_row_outage(v, vec, config):
 )
 def test_outage_kernel_broadcasts_bitwise_like_per_row_calls(config):
     rng = np.random.default_rng(64)
-    cols = config.t if config.outage_mode == "single-sap" else config.n
+    cols = config.cols
     samples = rng.uniform(0.02, 5.0, (9, 4, cols))
     vecs = rng.uniform(0.0, 1.0, (9, 2 * cols)) * 10.0 ** rng.uniform(-3, 0, (9, 1))
     vecs *= np.repeat([config.pt_max, config.pr_max], cols)

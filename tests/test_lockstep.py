@@ -140,10 +140,8 @@ def test_three_subcarriers_across_chunks_match_the_reference(monkeypatch):
 def test_three_averaged_subcarriers_solve_like_the_reference():
     # several activation patterns: the merge keeps every partial allocation
     config = SystemConfig(n=3, t=2, outage_mode="sap-averaged")
-    draws = np.random.default_rng(90).uniform(0.5, 5.0, size=(12, 4, 3))
-    samples = [v for v in draws if feasibility_check(stats_from_sample(v), config).feasible]
-    assert len(samples) >= 4
-    for v in samples[:6]:
+    samples, _ = draw_feasible_samples(6, 0.5, 5.0, config, seed=90)
+    for v in samples:
         vec, total, outage, evaluations, levels = reference_solve(
             v, config, grid0=4, refine_points=3)
         got = solve(stats_from_sample(v), config, 1e-2, grid0=4, refine_points=3)

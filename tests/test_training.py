@@ -301,6 +301,24 @@ def test_sweep_validation():
         SweepSpec(experiment="neurons", grid=(8,), repeats=0)
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"experiment": "neurons", "grid": (4,), "hidden_layers": 0}, "at least one hidden"),
+    ({"experiment": "neurons", "grid": (4, 0)}, r"layer dims must be positive, got \(4, 0, 0, 2\)"),
+    ({"experiment": "layers", "grid": (2, 0)}, r"hidden, and output layer; got dims \(4, 2\)"),
+    ({"experiment": "outage-threshold", "grid": (1e-2, 2.0)}, "psi_th must be in"),
+    ({"experiment": "neurons", "grid": (4,), "train_count": 0}, "train_count must be >= 1"),
+    ({"experiment": "neurons", "grid": (4,), "validation_count": 0},
+     "validation_count must be >= 1, got 0"),
+])
+def test_sweep_refuses_bad_shapes_before_labeling(monkeypatch, spec, message):
+    def never(*args, **kwargs):
+        raise AssertionError("labeled before the shapes were checked")
+
+    monkeypatch.setattr("relayalloc.training.build_dataset", never)
+    with pytest.raises(InvalidArgumentError, match=message):
+        sweep(SweepSpec(**spec), CFG, tiny_training())
+
+
 def test_average_histories():
     h1 = TrainingHistory(points=[HistoryPoint(1, 0.4, 0.2, 1.0),
                                  HistoryPoint(2, 0.2, 0.1, 2.0)])
@@ -355,7 +373,7 @@ def repair_one_at_a_time(alloc, sample, config):
 def violating_allocations(config, count, seed):
     """Random (sample, allocation) pairs above the cap; some unrepairable."""
     rng = np.random.default_rng(seed)
-    cols = config.t if config.outage_mode == "single-sap" else config.n
+    cols = config.cols
     samples, vecs = [], []
     while len(vecs) < count:
         v = rng.uniform(0.02, 5.0, (4, cols))
@@ -416,7 +434,7 @@ def edge_allocations(config, seed=909):
       1e-6 to 1 x cap, so their brackets collapse in different rounds.
     """
     rng = np.random.default_rng(seed)
-    cols = config.t if config.outage_mode == "single-sap" else config.n
+    cols = config.cols
     box = np.repeat([config.pt_max, config.pr_max], cols)
     samples, vecs = [], []
 
