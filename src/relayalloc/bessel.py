@@ -88,14 +88,18 @@ _CHEB_K1E = np.array(
 )
 
 
+# both series' coefficients from k = 20 down to 0, each a column (I1, K1 correction)
+_SERIES_COEF = np.stack([_I1_COEF, _K1_COEF], axis=1)[::-1, :, None]
+
+
 def _k1_series(x: np.ndarray) -> np.ndarray:
-    """Ascending series, valid on (0, 2]."""
+    """Ascending series, valid on (0, 2]; I1's and the K1 correction's Horner
+    steps run as one in-place loop over both rows."""
     q = 0.25 * x * x
-    i1 = np.zeros_like(x)
-    ks = np.zeros_like(x)
-    for k in range(_SERIES_TERMS - 1, -1, -1):
-        i1 = i1 * q + _I1_COEF[k]
-        ks = ks * q + _K1_COEF[k]
+    acc = np.zeros((2, len(x)))
+    for c in _SERIES_COEF:
+        np.add(np.multiply(acc, q, out=acc), c, out=acc)
+    i1, ks = acc
     i1 *= 0.5 * x
     return 1.0 / x + np.log(0.5 * x) * i1 - 0.25 * x * ks
 
@@ -103,28 +107,30 @@ def _k1_series(x: np.ndarray) -> np.ndarray:
 def _k1e_scaled_large(x: np.ndarray) -> np.ndarray:
     """sqrt(x) e^x K1(x) via Clenshaw on u = 4/x - 1, valid for x >= 2."""
     u = 4.0 / x - 1.0
-    b1 = np.zeros_like(u)
-    b2 = np.zeros_like(u)
-    for c in _CHEB_K1E[:0:-1]:
-        b1, b2 = 2.0 * u * b1 - b2 + c, b1
+    u2 = 2.0 * u
+    b1, b2, spare = np.zeros((3, len(u)))
+    for c in _CHEB_K1E[:0:-1]:  # b1, b2 <- 2 u b1 - b2 + c, b1
+        np.add(np.subtract(np.multiply(u2, b1, out=spare), b2, out=spare), c, out=spare)
+        b1, b2, spare = spare, b1, b2
     return u * b1 - b2 + 0.5 * _CHEB_K1E[0]
 
 
-def _validate(x) -> tuple[np.ndarray, bool]:
+def _validate(x) -> tuple[np.ndarray, tuple]:
+    """x flattened, and its shape."""
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.isnan(arr).any():
+    shape, arr = arr.shape, arr.reshape(-1)
+    least = np.minimum.reduce(arr, initial=np.inf)  # NaN if any entry is
+    if np.isnan(least):
         raise InvalidArgumentError("k1 argument is NaN")
-    if (arr <= 0).any():
+    if least <= 0:
         raise InvalidArgumentError("k1 is defined for x > 0 only")
-    return arr, scalar
+    return arr, shape
 
 
 def k1(x):
     """K1(x) for x > 0. Accepts scalars or arrays; underflows to 0.0 for
     large x without intermediate overflow."""
-    arr, scalar = _validate(x)
+    arr, shape = _validate(x)
     out = np.empty_like(arr)
     small = arr <= 2.0
     if small.any():
@@ -132,21 +138,28 @@ def k1(x):
     if (~small).any():
         xl = arr[~small]
         out[~small] = _k1e_scaled_large(xl) * np.exp(-xl) / np.sqrt(xl)
-    return float(out[0]) if scalar else out
+    return out.reshape(shape) if shape else float(out[0])
+
+
+def _k1e(arr: np.ndarray) -> np.ndarray:
+    """e^x K1(x) for a 1-d array of valid (positive) arguments, unchecked."""
+    small = arr <= 2.0
+    if small.all():
+        return _k1_series(arr) * np.exp(arr)
+    out = np.empty_like(arr)
+    if small.any():
+        xs = arr[small]
+        out[small] = _k1_series(xs) * np.exp(xs)
+    xl = arr[~small]
+    out[~small] = _k1e_scaled_large(xl) / np.sqrt(xl)
+    return out
 
 
 def k1e(x):
     """Exponentially scaled e^x K1(x); safe for arbitrarily large x."""
-    arr, scalar = _validate(x)
-    out = np.empty_like(arr)
-    small = arr <= 2.0
-    if small.any():
-        xs = arr[small]
-        out[small] = _k1_series(xs) * np.exp(xs)
-    if (~small).any():
-        xl = arr[~small]
-        out[~small] = _k1e_scaled_large(xl) / np.sqrt(xl)
-    return float(out[0]) if scalar else out
+    arr, shape = _validate(x)
+    out = _k1e(arr)
+    return out.reshape(shape) if shape else float(out[0])
 
 
 def xk1e(x):
@@ -156,14 +169,16 @@ def xk1e(x):
     so x = 0 is accepted here even though k1 itself is not defined there.
     """
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.isnan(arr).any():
+    shape, arr = arr.shape, arr.reshape(-1)
+    least = np.minimum.reduce(arr, initial=np.inf)  # NaN if any entry is
+    if np.isnan(least):
         raise InvalidArgumentError("xk1e argument is NaN")
-    if (arr < 0).any():
+    if least < 0:
         raise InvalidArgumentError("xk1e is defined for x >= 0 only")
-    out = np.ones_like(arr)
-    pos = arr > 0
-    if pos.any():
-        out[pos] = arr[pos] * k1e(arr[pos])
-    return float(out[0]) if scalar else out
+    if least > 0:
+        out = arr * _k1e(arr)
+    else:
+        out = np.ones_like(arr)
+        pos = arr > 0
+        out[pos] = arr[pos] * _k1e(arr[pos])
+    return out.reshape(shape) if shape else float(out[0])

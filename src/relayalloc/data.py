@@ -21,7 +21,6 @@ import contextlib
 import itertools
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 
@@ -57,6 +56,7 @@ DATASET_FORMAT = "relay-dataset-v1"
 
 _OUTAGE_RECHECK_TOL = 1e-12
 _MIN_DRAW_CHUNK = 64
+_MAX_REJECTED_PER_SAMPLE = 10_000  # rejected draws allowed per requested sample
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,9 @@ def generate_grid_samples(levels: int, range_lo: float, range_hi: float, cols: i
     if levels < 2:
         raise InvalidArgumentError(f"levels must be >= 2, got {levels}")
     axis = np.linspace(range_lo, range_hi, levels)
-    return np.array(list(itertools.product(axis, repeat=4 * cols))).reshape(-1, 4, cols)
+    # row r's entries are r's base-``levels`` digits, the last running fastest
+    digits = np.indices((levels,) * (4 * cols), dtype=np.min_scalar_type(levels))
+    return axis[digits.reshape(4 * cols, -1).T].reshape(-1, 4, cols)
 
 
 def draw_feasible_samples(
@@ -151,6 +153,8 @@ def draw_feasible_samples(
 ) -> tuple[np.ndarray, int]:
     """Uniform draws filtered by feasibility at the caps; redraws until
     ``count`` feasible samples exist. Returns (samples, rejected_count).
+    More than ``_MAX_REJECTED_PER_SAMPLE`` rejections per requested sample
+    (an acceptance near 1e-4 or below) raise ``InfeasibleProblemError``.
 
     Draws come in chunks from one generator, which yields the same values
     as one draw at a time; rejections are counted up to the last kept draw.
@@ -170,6 +174,12 @@ def draw_feasible_samples(
     need = count
     rejected = 0
     while need > 0:
+        if rejected > _MAX_REJECTED_PER_SAMPLE * count:
+            drawn = rejected + count - need
+            raise InfeasibleProblemError(
+                f"only {count - need} of {drawn} draws in [{range_lo}, {range_hi}] meet the cap "
+                f"psi_th={config.psi_th:.3e} (acceptance {(count - need) / drawn:.2e}); gave up "
+                f"after {rejected} rejections, {_MAX_REJECTED_PER_SAMPLE} per requested sample")
         draws = rng.uniform(range_lo, range_hi, size=(max(2 * need, _MIN_DRAW_CHUNK), *ideal.shape))
         ok = np.flatnonzero(_outage_at_caps(draws, config) <= config.psi_th)[:need]
         if len(ok) == need:
@@ -217,6 +227,8 @@ def label_dataset(
     jobs = [(samples[i : min(i + size, valid)], config, delta, options)
             for i in range(0, valid, size)]
     results: list[OracleResult] = []
+    if workers > 1:  # imported here: only a pool needs multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
     with pool:
         for chunk in (pool.map if workers > 1 else map)(_label_chunk, jobs):

@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -86,6 +87,7 @@ from .saps import enumerate_saps
 OUTAGE_MODES = ("single-sap", "sap-averaged")
 
 _GRID_FLOOR_RATIO = 1e-3
+_FLOAT_MAX = sys.float_info.max  # 0 <= v <= _FLOAT_MAX: finite and >= 0, NaN fails
 _HARD_LEVEL_CAP = 64
 # (pt, pr) pairs of all instances in one lock-step chunk, 42 instances at the
 # defaults: larger chunks labeled no faster and held more memory at once.
@@ -144,7 +146,7 @@ class PowerAllocation:
         if len(self.pt) != len(self.pr):
             raise InvalidArgumentError("pt and pr must have equal length")
         for v in (*self.pt, *self.pr):
-            if not (np.isfinite(v) and v >= 0):
+            if not 0.0 <= v <= _FLOAT_MAX:
                 raise InvalidArgumentError(f"powers must be finite and >= 0, got {v!r}")
 
     @property

@@ -47,15 +47,18 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from ._files import atomic_open
 from .data import _MALFORMED, _numbers, _typed
 from .errors import InvalidArgumentError, SchemaError
-from .gridsearch import PowerAllocation
+from .gridsearch import _FLOAT_MAX, PowerAllocation
 
 _SIGMOID_SAT = 40.0  # |z| beyond which the sigmoid is saturated in float64
+# 0-d operands: a ufunc takes them faster than Python floats, with the same bits
+_ONE, _MINUS_ONE = np.array(1.0), np.array(-1.0)
 
 MODEL_FORMAT = "relay-mlp-v1"
 
@@ -177,22 +180,26 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     underflowing and changes nothing above 1e-17 (sigmoid(40) is within
     4e-18 of 1)."""
     z = np.array(z, dtype=float)
-    _sigmoid_into(z, np.empty_like(z), np.empty_like(z))
+    _sigmoid_into(z, np.empty_like(z))
     return z[()]  # a scalar for 0-d input
 
 
-def _sigmoid_into(z, e, den) -> None:
-    """z <- sigmoid(z) in place, bitwise ``sigmoid``'s formula; e and den are
-    scratch like z. Unless some |z| > 40 (or NaN) the clip and its where are
-    skipped: they change nothing. maximum(e, sign(z)) is 1 for z >= 0, else e."""
-    np.abs(z, out=e)
-    big = None if e.max(initial=0.0) <= _SIGMOID_SAT else e > _SIGMOID_SAT
+def _sigmoid_into(z, e) -> None:
+    """z <- sigmoid(z) in place, bitwise ``sigmoid``'s formula; e is scratch
+    like z. e = -|z| = copysign(z, -1), so the clip is maximum(e, -40);
+    unless some e < -40 (or NaN) the clip and its where are skipped: they
+    change nothing. maximum(e, sign(z)) is 1 for z >= 0, else e, and 1 + e
+    then overwrites e."""
+    np.copysign(z, _MINUS_ONE, out=e)
+    least = np.minimum.reduce(e, axis=None, initial=0.0)
+    big = None if least >= -_SIGMOID_SAT else e < -_SIGMOID_SAT
     if big is not None:
-        np.minimum(e, _SIGMOID_SAT, out=e)
-    np.exp(np.negative(e, out=e), out=e)
+        np.maximum(e, -_SIGMOID_SAT, out=e)
+    np.exp(e, out=e)
     if big is not None:
         e[big] = 0.0
-    np.divide(np.maximum(e, np.sign(z, out=z), out=z), np.add(e, 1.0, out=den), out=z)
+    np.maximum(e, np.sign(z, out=z), out=z)
+    np.divide(z, np.add(e, _ONE, out=e), out=z)
 
 
 def _validate_dims(layer_dims) -> tuple[int, ...]:
@@ -225,16 +232,19 @@ def init_adam(params: MlpParams, step_size: float = 1e-4, beta1: float = 0.9,
 
 
 class _Workspace:
-    """Buffers for passes over ``rows`` inputs: layer r's activation ``acts[r]``
-    and scratch shared by layers of one width: the sigmoid's ``exps`` and
-    ``denoms``, which backprop's ``deltas`` reuse, and backprop's ``factors``."""
+    """Buffers for passes over ``rows`` inputs: layer r's activation
+    ``acts[r]`` and the sigmoid's scratch ``exps[r]``, which backprop reuses
+    as its ``deltas``. Backprop's ``factors`` (1 - a, shared by layers of
+    one width) are made on first use, so a forward pass never pays for them."""
 
     def __init__(self, layer_dims, rows: int):
-        widths = layer_dims[1:]
-        self.acts = [np.empty((rows, w)) for w in widths]
-        scratch = {w: np.empty((3, rows, w)) for w in set(widths)}
-        self.exps, self.denoms, self.factors = zip(*(scratch[w] for w in widths))
-        self.deltas = [(self.exps, self.denoms)[r % 2][r] for r in range(len(widths))]
+        self.acts = [np.empty((rows, w)) for w in layer_dims[1:]]
+        self.exps = self.deltas = [np.empty((rows, w)) for w in layer_dims[1:]]
+
+    @cached_property
+    def factors(self) -> list[np.ndarray]:
+        by_shape = {a.shape: np.empty(a.shape) for a in self.acts}
+        return [by_shape[a.shape] for a in self.acts]
 
 
 def _forward_into(params: MlpParams, x, ws: _Workspace, invariant=False) -> _Workspace:
@@ -242,14 +252,15 @@ def _forward_into(params: MlpParams, x, ws: _Workspace, invariant=False) -> _Wor
 
     ``invariant`` multiplies each row of a C-contiguous ``x`` as its own
     one-row product, so a row's result ignores the batch; otherwise one gemm.
+    A single row is that one-row product either way.
     """
     a = x
-    for w, b, z, e, den in zip(params.weights, params.biases, ws.acts, ws.exps, ws.denoms):
-        if invariant:
-            np.matmul(a[:, None, :], w.T, out=z.reshape(len(z), 1, -1))
+    for w, b, z, e in zip(params.weights, params.biases, ws.acts, ws.exps):
+        if invariant and len(z) > 1:
+            np.matmul(a[:, None, :], w.T, out=z[:, None, :])
         else:
             np.matmul(a, w.T, out=z)
-        _sigmoid_into(np.add(z, b, out=z), e, den)
+        _sigmoid_into(np.add(z, b, out=z), e)
         a = z
     return ws
 
@@ -283,7 +294,7 @@ def forward(params: MlpParams, x) -> np.ndarray:
     batch-invariant (see the module docstring)."""
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
-    arr = np.ascontiguousarray(np.atleast_2d(arr))
+    arr = np.ascontiguousarray(arr.reshape(1, -1) if single else np.atleast_2d(arr))
     if arr.shape[1] != params.n_in:
         raise InvalidArgumentError(
             f"input width {arr.shape[1]} does not match layer_dims[0]={params.n_in}"
@@ -348,19 +359,33 @@ def encode_input(v: np.ndarray, range_hi: float) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.ndim < 2 or arr.shape[-2] != 4:
         raise InvalidArgumentError(f"expected 4xT matrices, got shape {arr.shape}")
-    if not (np.isfinite(range_hi) and range_hi > 0):
+    if not 0.0 < range_hi <= _FLOAT_MAX:  # NaN fails too
         raise InvalidArgumentError(f"range_hi must be finite and > 0, got {range_hi!r}")
-    if (arr <= 0).any() or (arr > range_hi).any():
+    lo, hi = _extremes(arr)
+    if not (lo > 0 and hi <= range_hi) and ((arr <= 0).any() or (arr > range_hi).any()):
         raise InvalidArgumentError(
-            f"statistics entries must lie in (0, {range_hi}], got range "
-            f"[{arr.min()}, {arr.max()}]"
+            f"statistics entries must lie in (0, {range_hi}], got range [{lo}, {hi}]"
         )
     return arr.reshape(arr.shape[:-2] + (4 * arr.shape[-1],)) / range_hi
 
 
+def _extremes(arr: np.ndarray) -> tuple[float, float]:
+    """(least, greatest) entry, (inf, -inf) for no entries. Both are NaN
+    when some entry is, so a range check that fails on them looks entry by
+    entry, where a NaN alone passes and any entry out of range is caught."""
+    return (np.minimum.reduce(arr, axis=None, initial=np.inf),
+            np.maximum.reduce(arr, axis=None, initial=-np.inf))
+
+
+def _caps(pt_max: float, pr_max: float, width: int) -> np.ndarray:
+    """The (2T,) cap vector, pt_max T times then pr_max T times."""
+    t = width // 2
+    return np.array([pt_max] * t + [pr_max] * t)
+
+
 def _encode_powers(vec: np.ndarray, pt_max: float, pr_max: float) -> np.ndarray:
     """(..., 2T) powers, pt then pr, divided by their caps."""
-    caps = np.repeat([pt_max, pr_max], vec.shape[-1] // 2)
+    caps = _caps(pt_max, pr_max, vec.shape[-1])
     if (vec > caps).any():
         raise InvalidArgumentError("allocation exceeds the power caps")
     return vec / caps
@@ -368,9 +393,10 @@ def _encode_powers(vec: np.ndarray, pt_max: float, pr_max: float) -> np.ndarray:
 
 def _decode_powers(raw: np.ndarray, pt_max: float, pr_max: float) -> np.ndarray:
     """(..., 2T) raw outputs in [0, 1] -> powers, pt then pr."""
-    if (raw < 0).any() or (raw > 1).any():
+    lo, hi = _extremes(raw)
+    if not (lo >= 0 and hi <= 1) and ((raw < 0).any() or (raw > 1).any()):
         raise InvalidArgumentError("raw outputs must lie in [0, 1]")
-    return raw * np.repeat([pt_max, pr_max], raw.shape[-1] // 2)
+    return raw * _caps(pt_max, pr_max, raw.shape[-1])
 
 
 def encode_target(allocation: PowerAllocation, pt_max: float, pr_max: float) -> np.ndarray:

@@ -125,9 +125,15 @@ def end_to_end_snr(g1, g2, power: SubcarrierPower, eta1: float, eta2: float):
 
 
 def _clamp_probability(p):
+    """p as an at least 1-d array clipped to [0, 1]; an entry beyond the
+    tolerance raises. When every entry is already in [0, 1] (no NaN) the
+    array is returned as it is: the clip would change nothing."""
     arr = np.atleast_1d(np.asarray(p, dtype=float))
-    if (arr < -_PROB_TOL).any() or (arr > 1.0 + _PROB_TOL).any():
-        bad = arr[(arr < -_PROB_TOL) | (arr > 1.0 + _PROB_TOL)]
+    least = np.minimum.reduce(arr, axis=None, initial=np.inf)
+    if least >= 0.0 and np.maximum.reduce(arr, axis=None, initial=-np.inf) <= 1.0:
+        return arr
+    bad = arr[(arr < -_PROB_TOL) | (arr > 1.0 + _PROB_TOL)]
+    if bad.size:
         raise NumericConsistencyError(
             f"outage probability escaped [0, 1] beyond tolerance: {bad[:4]}"
         )
@@ -135,17 +141,27 @@ def _clamp_probability(p):
 
 
 def _phi(mu1, mu2, eta1, eta2, pt, pr, s: float) -> np.ndarray:
-    """Phi(s) elementwise over broadcastable arrays (zero power -> 1)."""
-    mu1, mu2, eta1, eta2, pt, pr = np.broadcast_arrays(mu1, mu2, eta1, eta2, pt, pr)
-    out = np.ones(pt.shape)
-    on = (pt > 0) & (pr > 0)
-    if on.any():
-        m1, m2, e1, e2, ptv, prv = (x[on] for x in (mu1, mu2, eta1, eta2, pt, pr))
-        b = s * e1 / (m1 * ptv)
-        a = s * e2 / (m1 * m2 * ptv * prv)
-        z = 2.0 * np.sqrt(a)
+    """Phi(s) elementwise over broadcastable arrays (zero or NaN power -> 1).
+
+    The statistics broadcast as they come, so they are never copied out to
+    the full shape. Where some power is not positive, both powers become 1
+    there (dividing by no zero) and the Bessel factor runs on the positive
+    entries only; each positive entry's arithmetic is the same either way.
+    """
+    on = np.greater(pt, 0.0) & np.greater(pr, 0.0)
+    every = on.all()
+    if not every:
+        pt, pr = np.where(on, pt, 1.0), np.where(on, pr, 1.0)
+    b = s * eta1 / (mu1 * pt)
+    a = s * eta2 / (mu1 * mu2 * pt * pr)
+    z = 2.0 * np.sqrt(a)
+    if every:
+        out = 1.0 - xk1e(z) * np.exp(-(z + b))
+    else:
+        on = np.broadcast_to(on, z.shape)
+        out, z, b = np.ones(z.shape), z[on], np.broadcast_to(b, on.shape)[on]
         out[on] = 1.0 - xk1e(z) * np.exp(-(z + b))
-    return _clamp_probability(out).reshape(out.shape)
+    return _clamp_probability(out).reshape(np.shape(a))
 
 
 def _block_outage(samples, vec, s: float, patterns) -> np.ndarray:
@@ -181,7 +197,9 @@ def _combine(q, patterns) -> np.ndarray:
         total = term if total is None else total + term
     if len(patterns) > 1:
         total = total / len(patterns)
-    return _clamp_probability(np.broadcast_to(total, shape)).reshape(shape)
+    if np.shape(total) != shape:  # some q is in no pattern
+        total = np.broadcast_to(total, shape).copy()
+    return _clamp_probability(total).reshape(shape)
 
 
 def outage_grid(stats: SubcarrierStats, pt, pr, s: float) -> np.ndarray:

@@ -97,6 +97,17 @@ def test_small_argument_spike():
         assert abs(k1(x) * x - 1.0) < 1e-3
 
 
+@pytest.mark.parametrize("f", [k1, k1e, xk1e])
+def test_arrays_of_any_shape_give_the_flat_values_in_that_shape(f):
+    # a block of arguments on one side of the seam, then one mixing both
+    for xs in (np.geomspace(0.01, 1.9, 6).reshape(3, 2),
+               np.geomspace(0.5, 9.0, 12).reshape(2, 3, 2)):
+        out = f(xs)
+        assert out.shape == xs.shape
+        assert out.tobytes() == f(xs.reshape(-1)).tobytes()
+        assert out.reshape(-1).tolist() == [f(float(x)) for x in xs.reshape(-1)]
+
+
 def test_xk1e_limit_and_consistency():
     assert xk1e(0.0) == 1.0
     assert xk1e(np.array([0.0]))[0] == 1.0

@@ -340,19 +340,43 @@ def test_sap_averaged_pipeline_sizes_everything_by_all_subcarriers(tmp_path, cap
     assert "neurons=3: mean final relative error" in capsys.readouterr().out
 
 
+def run_cli(args, code=None):
+    """A fresh interpreter running the CLI with ``args`` (or ``code``) on
+    this package, killed after 60 s."""
+    src = os.path.dirname(os.path.dirname(relayalloc.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    command = ["-c", code] if code is not None else ["-m", "relayalloc.cli", *args]
+    return subprocess.run([sys.executable, *command], capture_output=True, text=True,
+                          timeout=60, env=env)
+
+
 @pytest.mark.parametrize("cap", ["1e-6", "1.0"])
 def test_gen_data_refuses_caps_no_statistic_can_meet(tmp_path, cap):
     # a subprocess with a timeout, so a generator that redraws forever fails
-    src = os.path.dirname(os.path.dirname(relayalloc.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "relayalloc.cli", "gen-data", "--pt-max", cap, "--pr-max", cap,
-         "--count", "2", "--out", str(tmp_path / "data.jsonl")],
-        capture_output=True, text=True, timeout=60, env=env,
-    )
+    proc = run_cli(["gen-data", "--pt-max", cap, "--pr-max", cap, "--count", "2",
+                    "--out", str(tmp_path / "data.jsonl")])
     assert proc.returncode == 3
     assert "infeasible: no statistics in [0.5, 5.0] meet the cap" in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_data_gives_up_when_almost_no_draw_meets_the_cap(tmp_path):
+    # the best corner meets psi_th = 0.31 (outage 0.301) but no draw does:
+    # a subprocess with a timeout, so a generator that redraws forever fails
+    proc = run_cli(["gen-data", "--pt-max", "1", "--pr-max", "1", "--outage-threshold", "0.31",
+                    "--count", "2", "--out", str(tmp_path / "data.jsonl")])
+    assert proc.returncode == 3
+    assert "infeasible: only 0 of" in proc.stderr
+    assert "(acceptance 0.00e+00); gave up after" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only gen-data --workers 2+ needs a process pool
+    proc = run_cli([], code="import sys, relayalloc.cli; print(sorted(m for m in sys.modules "
+                            "if m.startswith(('multiprocessing', 'concurrent.futures.process'))))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_train_reruns_are_byte_identical(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 from dataclasses import replace
@@ -63,6 +64,26 @@ def test_grid_samples_form_a_lattice():
     rows = {tuple(v.reshape(-1)) for v in lattice}
     assert len(rows) == 16
     assert (lattice[0] == 0.5).all()
+
+
+@pytest.mark.parametrize("levels, cols", [(3, 1), (2, 2), (3, 2)])
+def test_grid_samples_follow_the_product_order(levels, cols):
+    axis = np.linspace(0.5, 5.0, levels)
+    ref = np.array(list(itertools.product(axis, repeat=4 * cols))).reshape(-1, 4, cols)
+    lattice = generate_grid_samples(levels, 0.5, 5.0, cols)
+    assert lattice.shape == ref.shape == (levels ** (4 * cols), 4, cols)
+    assert lattice.tobytes() == ref.tobytes()
+
+
+def test_draws_give_up_when_almost_no_draw_meets_the_cap():
+    # the corner meets the cap (outage 0.301 <= 0.31), so the draws start,
+    # but none of a million draws does
+    config = SystemConfig(psi_th=0.31, pt_max=1.0, pr_max=1.0)
+    with pytest.raises(InfeasibleProblemError,
+                       match=r"only 0 of \d+ draws in \[0.5, 5.0\] meet the cap psi_th=3.100e-01 "
+                             r"\(acceptance 0.00e\+00\); gave up after \d+ rejections, "
+                             r"10000 per requested sample"):
+        draw_feasible_samples(2, 0.5, 5.0, config, seed=1)
 
 
 def test_feasible_draws_reject_and_are_deterministic():

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +33,7 @@ from relayalloc import (
     sigmoid,
     train,
 )
-from relayalloc.mlp import NormalizationSpec
+from relayalloc.mlp import NormalizationSpec, _decode_powers
 
 # Three Adam steps on f(theta) = theta^2 from theta = 1 with step size 0.1,
 # beta1 = 0.9, beta2 = 0.999, epsilon = 1e-8; frozen from an independent
@@ -135,11 +136,28 @@ def two_branch_sigmoid(z):
     return out
 
 
-@pytest.mark.parametrize("shape", [(32, 64), (7,), (3, 5, 4)])
+ULP_ABOVE_40, ULP_BELOW_40 = np.nextafter(40.0, 50.0), np.nextafter(40.0, 0.0)
+# the guard, one ulp either side of it, signed zeros, infinities and subnormals
+SIGMOID_EDGES = [40.0, -40.0, ULP_ABOVE_40, -ULP_ABOVE_40, 0.0, -0.0, ULP_BELOW_40, -ULP_BELOW_40,
+                 np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310]
+
+
+@pytest.mark.parametrize("shape", [(32, 64), (7,), (3, 5, 4), (len(SIGMOID_EDGES),)])
 def test_sigmoid_equals_the_two_branch_form_bitwise(shape):
     z = np.random.default_rng(17).normal(scale=25.0, size=shape)
-    z.flat[:6] = [40.0, -40.0, np.nextafter(40.0, 50.0), -np.nextafter(40.0, 50.0), 0.0, -0.0]
+    count = min(z.size, len(SIGMOID_EDGES))
+    z.flat[:count] = SIGMOID_EDGES[:count]
     assert sigmoid(z).tobytes() == two_branch_sigmoid(z).tobytes()
+
+
+def test_sigmoid_without_saturated_entries_equals_the_two_branch_form_bitwise():
+    # nothing beyond |z| = 40: the clip is skipped, and the guard values
+    # themselves must still come out of the unclipped formula unchanged
+    inside = [40.0, -40.0, ULP_BELOW_40, -ULP_BELOW_40, 0.0, -0.0, 5e-324, -5e-324, 1e-310]
+    z = np.concatenate([inside, np.random.default_rng(18).uniform(-40.0, 40.0, 200)])
+    assert sigmoid(z).tobytes() == two_branch_sigmoid(z).tobytes()
+    for value in inside:
+        assert sigmoid(np.array(value)) == two_branch_sigmoid(np.array([value]))[0]
 
 
 def test_sigmoid_propagates_nan():
@@ -414,6 +432,55 @@ def test_encode_input_layout_and_validation():
         encode_target(PowerAllocation(pt=(6000.0,), pr=(1.0,)), 5000.0, 5000.0)
     with pytest.raises(InvalidArgumentError):
         decode_output(np.array([0.2, 1.3]), 5000.0, 5000.0)
+
+
+def test_range_checks_refuse_exactly_what_entrywise_comparisons_refuse():
+    v = np.full((4, 2), 2.0)
+
+    def with_entry(value):
+        out = v.copy()
+        out[1, 0] = value
+        return out
+
+    # a NaN entry alone passes both range checks, as entrywise comparisons
+    # let it; the allocation then refuses the NaN power
+    assert np.isnan(encode_input(with_entry(np.nan), 5.0)[2])
+    raw = np.array([0.5, np.nan, 0.25, 1.0])
+    assert np.isnan(_decode_powers(raw[None], 5000.0, 5000.0)[0, 1])
+    with pytest.raises(InvalidArgumentError, match="powers must be finite and >= 0, got nan"):
+        decode_output(raw, 5000.0, 5000.0)
+    # ... but a NaN does not hide an entry out of range
+    with pytest.raises(InvalidArgumentError, match=re.escape("(0, 5.0], got range [nan, nan]")):
+        encode_input(np.where(np.eye(4, 2) > 0, np.nan, 9.0), 5.0)
+    with pytest.raises(InvalidArgumentError, match=r"raw outputs must lie in \[0, 1\]"):
+        decode_output(np.array([np.nan, 2.0]), 5000.0, 5000.0)
+    # empty stacks are legal
+    assert encode_input(np.empty((0, 4, 2)), 5.0).shape == (0, 8)
+    assert _decode_powers(np.empty((0, 4)), 5000.0, 5000.0).shape == (0, 4)
+    # the bounds, and one ulp beyond them
+    assert encode_input(with_entry(5.0), 5.0)[2] == 1.0
+    assert encode_input(with_entry(5e-324), 5.0)[2] == 5e-324 / 5.0
+    for bad, shown in [(0.0, "[0.0, 2.0]"), (-0.0, "[-0.0, 2.0]"), (np.inf, "[2.0, inf]"),
+                       (np.nextafter(5.0, 6.0), "[2.0, 5.000000000000001]")]:
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"got range {shown}")):
+            encode_input(with_entry(bad), 5.0)
+    assert decode_output(np.array([1.0, -0.0]), 5000.0, 4000.0).as_vector() == (5000.0, -0.0)
+    for bad in (np.nextafter(1.0, 2.0), -5e-324):
+        with pytest.raises(InvalidArgumentError, match=r"raw outputs must lie in \[0, 1\]"):
+            decode_output(np.array([0.5, bad]), 5000.0, 5000.0)
+    for range_hi in (np.nan, np.inf, 0.0, -1.0, 10**400):
+        with pytest.raises(InvalidArgumentError, match="range_hi must be finite and > 0"):
+            encode_input(v, range_hi)
+
+
+def test_power_allocation_refuses_powers_that_are_not_finite_and_non_negative():
+    for power in (np.nan, np.inf, -1.0, -5e-324, 10**400, -10**400):
+        with pytest.raises(InvalidArgumentError, match="powers must be finite and >= 0"):
+            PowerAllocation(pt=(1.0, power), pr=(1.0, 1.0))
+    with pytest.raises(TypeError):
+        PowerAllocation(pt=("1.0",), pr=(1.0,))
+    # the largest float, integers and -0.0 are finite and not negative
+    assert PowerAllocation(pt=(1.7976931348623157e308, 2**63), pr=(-0.0, 0)).pt[1] == 2**63
 
 
 def test_model_persistence_is_bit_exact(tmp_path):

@@ -36,7 +36,13 @@ from relayalloc import (
 )
 from relayalloc.mlp import MlpParams
 from relayalloc.gridsearch import _outage
-from relayalloc.training import SweepSpec, TrainingHistory, HistoryPoint, _scale_up_repair
+from relayalloc.training import (
+    SweepSpec,
+    TrainingHistory,
+    HistoryPoint,
+    _predict,
+    _scale_up_repair,
+)
 
 CFG = SystemConfig(n=2, t=1, m=2, psi_th=1e-2, pt_max=5000.0, pr_max=5000.0)
 SOLVER = {"grid0": 8, "max_levels": 2}
@@ -188,6 +194,20 @@ def test_relative_error_matches_per_record_reference():
                              norm.pt_max, norm.pr_max)
         errors.append(np.mean(np.abs(label - np.array([*pred.pt, *pred.pr])) / label))
     assert relative_error(model, dataset) == float(np.mean(errors))  # bitwise
+
+
+def test_one_query_is_bitwise_its_row_of_the_batch_prediction():
+    # one query (one matrix encoded, one row forward, one vector decoded)
+    # answers with the bits of its row of the whole-set prediction
+    config = SystemConfig()
+    dataset = build_dataset(config, 12, 0.5, 5.0, 305, 1e-2, solver_kwargs=SOLVER)
+    model, _ = train(init_mlp([8, 64, 64, 4], seed=6), dataset, tiny_training())
+    norm = normalization_for(dataset)
+    batch = _predict(model, dataset)
+    for rec, row in zip(dataset.records, batch):
+        alloc = decode_output(forward(model, encode_input(rec.sample, norm.range_hi)),
+                              norm.pt_max, norm.pr_max)
+        assert np.array(alloc.as_vector()).tobytes() == row.tobytes()
 
 
 def test_comparison_report_flags_violations_and_repairs():
