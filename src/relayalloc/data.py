@@ -28,10 +28,12 @@ import numpy as np
 
 from ._files import atomic_open
 from .errors import (
+    _FLOAT_MAX,
     InfeasibleProblemError,
     InvalidArgumentError,
     InvariantViolationError,
     SchemaError,
+    check_finite,
 )
 from .gridsearch import (
     STOP_REASONS,
@@ -127,7 +129,7 @@ def stats_from_sample(v: np.ndarray) -> list[SubcarrierStats]:
 
 
 def _check_range(range_lo: float, range_hi: float) -> None:
-    if not (np.isfinite(range_lo) and np.isfinite(range_hi) and 0 < range_lo < range_hi):
+    if not 0 < range_lo < range_hi <= _FLOAT_MAX:  # NaN fails too
         raise InvalidArgumentError(
             f"need 0 < range_lo < range_hi, got {range_lo!r}, {range_hi!r}"
         )
@@ -138,7 +140,7 @@ def generate_grid_samples(levels: int, range_lo: float, range_hi: float, cols: i
     _check_range(range_lo, range_hi)
     if levels < 2:
         raise InvalidArgumentError(f"levels must be >= 2, got {levels}")
-    axis = np.linspace(range_lo, range_hi, levels)
+    axis = np.linspace(float(range_lo), float(range_hi), levels)
     # row r's entries are r's base-``levels`` digits, the last running fastest
     digits = np.indices((levels,) * (4 * cols), dtype=np.min_scalar_type(levels))
     return axis[digits.reshape(4 * cols, -1).T].reshape(-1, 4, cols)
@@ -366,6 +368,8 @@ def load_dataset(path: str) -> Dataset:
     try:
         config = SystemConfig(**_typed(SystemConfig, header["config"]))
         gen = GenerationSpec(**_typed(GenerationSpec, header["generation"]))
+        check_finite("range_lo", gen.range_lo, positive=False)
+        check_finite("range_hi", gen.range_hi)
     except _MALFORMED as exc:
         raise SchemaError(f"{path}: malformed header: {exc}") from exc
 

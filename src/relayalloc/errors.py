@@ -1,8 +1,13 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes; library users can catch the
-common base class.
+common base class. ``check_finite`` is the one rule for a number the
+package accepts.
 """
+
+import sys
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class RelayAllocError(Exception):
@@ -11,6 +16,15 @@ class RelayAllocError(Exception):
 
 class InvalidArgumentError(RelayAllocError, ValueError):
     """A caller-supplied argument is out of contract (CLI exit code 2)."""
+
+
+def check_finite(name: str, value, positive: bool = True) -> None:
+    """Refuse ``value`` unless 0 < value <= the float maximum (0 <= value
+    when not ``positive``): NaN, +-inf and integers beyond the float range
+    all fail one comparison chain, with no numpy call."""
+    if not (0.0 < value <= _FLOAT_MAX if positive else 0.0 <= value <= _FLOAT_MAX):
+        raise InvalidArgumentError(
+            f"{name} must be finite and {'>' if positive else '>='} 0, got {value!r}")
 
 
 class InfeasibleProblemError(RelayAllocError):

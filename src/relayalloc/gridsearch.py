@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -78,16 +77,16 @@ from .errors import (
     InfeasibleProblemError,
     InvalidArgumentError,
     NumericConsistencyError,
+    check_finite,
 )
 from .outage import _block_outage, _combine, _phi
 # Not called here; perfbench/layers.py traces outage calls through these names.
 from .outage import all_active_outage, average_outage, outage_grid  # noqa: F401
-from .saps import enumerate_saps
+from .saps import _check_m, enumerate_saps
 
 OUTAGE_MODES = ("single-sap", "sap-averaged")
 
 _GRID_FLOOR_RATIO = 1e-3
-_FLOAT_MAX = sys.float_info.max  # 0 <= v <= _FLOAT_MAX: finite and >= 0, NaN fails
 _HARD_LEVEL_CAP = 64
 # (pt, pr) pairs of all instances in one lock-step chunk, 42 instances at the
 # defaults: larger chunks labeled no faster and held more memory at once.
@@ -114,16 +113,11 @@ class SystemConfig:
     def __post_init__(self):
         if not (isinstance(self.n, int) and isinstance(self.t, int) and 1 <= self.t <= self.n):
             raise InvalidArgumentError(f"need 1 <= t <= n, got n={self.n}, t={self.t}")
-        if not (isinstance(self.m, int) and self.m >= 2 and self.m & (self.m - 1) == 0):
-            raise InvalidArgumentError(f"m must be a power of two >= 2, got {self.m!r}")
-        if not (np.isfinite(self.s) and self.s > 0):
-            raise InvalidArgumentError(f"s must be finite and > 0, got {self.s!r}")
+        _check_m(self.m)
+        for name in ("s", "pt_max", "pr_max"):
+            check_finite(name, getattr(self, name))
         if not (0 < self.psi_th <= 1):
             raise InvalidArgumentError(f"psi_th must be in (0, 1], got {self.psi_th!r}")
-        for name in ("pt_max", "pr_max"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise InvalidArgumentError(f"{name} must be finite and > 0, got {v!r}")
         if self.outage_mode not in OUTAGE_MODES:
             raise InvalidArgumentError(
                 f"outage_mode must be one of {OUTAGE_MODES}, got {self.outage_mode!r}"
@@ -146,8 +140,7 @@ class PowerAllocation:
         if len(self.pt) != len(self.pr):
             raise InvalidArgumentError("pt and pr must have equal length")
         for v in (*self.pt, *self.pr):
-            if not 0.0 <= v <= _FLOAT_MAX:
-                raise InvalidArgumentError(f"powers must be finite and >= 0, got {v!r}")
+            check_finite("powers", v, positive=False)
 
     @property
     def total_power(self) -> float:
@@ -185,13 +178,11 @@ class OracleResult:
     stop_reason: str  # one of STOP_REASONS
 
 
-def power_axis_grid(cap: float, points: int, floor_ratio: float = _GRID_FLOOR_RATIO) -> np.ndarray:
-    """Exact 0 plus ``points - 1`` log-spaced values up to the cap."""
+def power_axis_grid(cap: float, points: int) -> np.ndarray:
+    """Exact 0 plus ``points - 1`` log-spaced values, 1e-3 of the cap up to it."""
     if points < 2:
         raise InvalidArgumentError(f"need at least 2 grid points per axis, got {points}")
-    if not (0 < floor_ratio < 1):
-        raise InvalidArgumentError(f"floor_ratio must be in (0, 1), got {floor_ratio!r}")
-    return np.concatenate([[0.0], np.geomspace(cap * floor_ratio, cap, points - 1)])
+    return np.concatenate([[0.0], np.geomspace(cap * _GRID_FLOOR_RATIO, float(cap), points - 1)])
 
 
 def evaluation_budget(t: int, grid0: int, refine_points: int, levels: int) -> int:

@@ -53,8 +53,8 @@ import numpy as np
 
 from ._files import atomic_open
 from .data import _MALFORMED, _numbers, _typed
-from .errors import InvalidArgumentError, SchemaError
-from .gridsearch import _FLOAT_MAX, PowerAllocation
+from .errors import InvalidArgumentError, SchemaError, check_finite
+from .gridsearch import PowerAllocation
 
 _SIGMOID_SAT = 40.0  # |z| beyond which the sigmoid is saturated in float64
 # 0-d operands: a ufunc takes them faster than Python floats, with the same bits
@@ -166,9 +166,7 @@ class NormalizationSpec:
 
     def __post_init__(self):
         for name in ("range_hi", "pt_max", "pr_max"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise InvalidArgumentError(f"{name} must be finite and > 0, got {v!r}")
+            check_finite(name, getattr(self, name))
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -359,10 +357,9 @@ def encode_input(v: np.ndarray, range_hi: float) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.ndim < 2 or arr.shape[-2] != 4:
         raise InvalidArgumentError(f"expected 4xT matrices, got shape {arr.shape}")
-    if not 0.0 < range_hi <= _FLOAT_MAX:  # NaN fails too
-        raise InvalidArgumentError(f"range_hi must be finite and > 0, got {range_hi!r}")
+    check_finite("range_hi", range_hi)
     lo, hi = _extremes(arr)
-    if not (lo > 0 and hi <= range_hi) and ((arr <= 0).any() or (arr > range_hi).any()):
+    if not (lo > 0 and hi <= range_hi):
         raise InvalidArgumentError(
             f"statistics entries must lie in (0, {range_hi}], got range [{lo}, {hi}]"
         )
@@ -371,8 +368,7 @@ def encode_input(v: np.ndarray, range_hi: float) -> np.ndarray:
 
 def _extremes(arr: np.ndarray) -> tuple[float, float]:
     """(least, greatest) entry, (inf, -inf) for no entries. Both are NaN
-    when some entry is, so a range check that fails on them looks entry by
-    entry, where a NaN alone passes and any entry out of range is caught."""
+    when some entry is, so a range check on them refuses NaN."""
     return (np.minimum.reduce(arr, axis=None, initial=np.inf),
             np.maximum.reduce(arr, axis=None, initial=-np.inf))
 
@@ -394,7 +390,7 @@ def _encode_powers(vec: np.ndarray, pt_max: float, pr_max: float) -> np.ndarray:
 def _decode_powers(raw: np.ndarray, pt_max: float, pr_max: float) -> np.ndarray:
     """(..., 2T) raw outputs in [0, 1] -> powers, pt then pr."""
     lo, hi = _extremes(raw)
-    if not (lo >= 0 and hi <= 1) and ((raw < 0).any() or (raw > 1).any()):
+    if not (lo >= 0 and hi <= 1):
         raise InvalidArgumentError("raw outputs must lie in [0, 1]")
     return raw * _caps(pt_max, pr_max, raw.shape[-1])
 

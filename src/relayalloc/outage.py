@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import xk1e
-from .errors import InvalidArgumentError, NumericConsistencyError
+from .errors import InvalidArgumentError, NumericConsistencyError, check_finite
 from .saps import SapSet
 
 _PROB_TOL = 1e-12
@@ -59,9 +59,7 @@ class SubcarrierStats:
 
     def __post_init__(self):
         for name in ("mu1", "mu2", "eta1", "eta2"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise InvalidArgumentError(f"{name} must be finite and > 0, got {v!r}")
+            check_finite(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -73,9 +71,7 @@ class SubcarrierPower:
 
     def __post_init__(self):
         for name in ("pt", "pr"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0):
-                raise InvalidArgumentError(f"{name} must be finite and >= 0, got {v!r}")
+            check_finite(name, getattr(self, name), positive=False)
 
 
 @dataclass(frozen=True)
@@ -92,8 +88,7 @@ class OutageQuery:
     sap_set: SapSet
 
     def __post_init__(self):
-        if not (np.isfinite(self.s) and self.s > 0):
-            raise InvalidArgumentError(f"snr threshold must be finite and > 0, got {self.s!r}")
+        check_finite("snr threshold", self.s)
         if len(self.stats) != len(self.powers):
             raise InvalidArgumentError(
                 f"stats and powers lengths differ: {len(self.stats)} vs {len(self.powers)}"
@@ -110,11 +105,6 @@ class MonteCarloEstimate:
     probability: float
     std_error: float
     trials: int
-
-
-def _check_s(s: float) -> None:
-    if not (np.isfinite(s) and s > 0):
-        raise InvalidArgumentError(f"snr threshold must be finite and > 0, got {s!r}")
 
 
 def end_to_end_snr(g1, g2, power: SubcarrierPower, eta1: float, eta2: float):
@@ -204,7 +194,7 @@ def _combine(q, patterns) -> np.ndarray:
 
 def outage_grid(stats: SubcarrierStats, pt, pr, s: float) -> np.ndarray:
     """Vectorized Phi(s) over broadcastable power arrays (zero power -> 1)."""
-    _check_s(s)
+    check_finite("snr threshold", s)
     pt = np.asarray(pt, dtype=float)
     pr = np.asarray(pr, dtype=float)
     if (pt < 0).any() or (pr < 0).any():
@@ -225,7 +215,7 @@ def combine_active_outages(phis) -> float:
 
 def _one_block(stats, powers, s: float, patterns) -> float:
     if stats:
-        _check_s(s)
+        check_finite("snr threshold", s)
     matrix = [[getattr(st, name) for st in stats] for name in ("mu1", "mu2", "eta1", "eta2")]
     vec = [pw.pt for pw in powers] + [pw.pr for pw in powers]
     return float(_block_outage(matrix, vec, s, patterns))
@@ -260,7 +250,7 @@ def monte_carlo_outage(
     Draws are consumed in fixed-size chunks from one generator, so the
     estimate is deterministic in (trials, seed) and memory stays bounded.
     """
-    _check_s(s)
+    check_finite("snr threshold", s)
     if trials < _MC_MIN_TRIALS:
         raise InvalidArgumentError(f"trials must be >= {_MC_MIN_TRIALS}, got {trials}")
     rng = np.random.default_rng(seed)

@@ -74,6 +74,12 @@ def _validate_nt(n: int, t: int) -> None:
         raise InvalidArgumentError(f"n={n} exceeds the supported cap of {MAX_SUBCARRIERS}")
 
 
+def _check_m(m: int) -> None:
+    """m must be a power of two >= 2 (PSK constellation order)."""
+    if not (isinstance(m, int) and m >= 2 and m & (m - 1) == 0):
+        raise InvalidArgumentError(f"m must be a power of two >= 2, got {m!r}")
+
+
 def legitimate_sap_count(n: int, t: int) -> int:
     """Xi = 2^floor(log2 C(n, t)), computed exactly in integers."""
     _validate_nt(n, t)
@@ -94,13 +100,9 @@ def enumerate_saps(n: int, t: int) -> SapSet:
 
 
 def bitstream_length(n: int, t: int, m: int) -> int:
-    """Bits per block: floor(log2 C(n, t)) index bits plus t*log2(m) symbol bits.
-
-    m must be a power of two >= 2 (PSK constellation order).
-    """
+    """Bits per block: floor(log2 C(n, t)) index bits plus t*log2(m) symbol bits."""
     _validate_nt(n, t)
-    if not isinstance(m, int) or m < 2 or (m & (m - 1)) != 0:
-        raise InvalidArgumentError(f"m must be a power of two >= 2, got {m!r}")
+    _check_m(m)
     index_bits = math.comb(n, t).bit_length() - 1
     symbol_bits = t * (m.bit_length() - 1)
     return index_bits + symbol_bits

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._files import atomic_open
 from .data import Dataset, build_dataset, split
-from .errors import InvalidArgumentError, NonFiniteLossError
+from .errors import _FLOAT_MAX, InvalidArgumentError, NonFiniteLossError, check_finite
 from .gridsearch import SystemConfig, _outage, _row_totals
 from .mlp import (  # noqa: F401 -- gradients: perfbench/layers.py wraps training.gradients
     Batch,
@@ -71,8 +71,8 @@ class TrainingConfig:
             )
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise InvalidArgumentError("beta1 and beta2 must lie in [0, 1)")
-        if self.step_size <= 0 or self.epsilon <= 0:
-            raise InvalidArgumentError("step_size and epsilon must be > 0")
+        for name in ("step_size", "epsilon"):
+            check_finite(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,7 @@ def train(
         np.take(y, perm, axis=0, out=ys, mode="clip")
         for k, (rows, ws) in enumerate(batches):
             _backprop_into(params, xs[rows], ys[rows], ws, grads)
-            if not np.isfinite(grads.loss):
+            if not grads.loss <= _FLOAT_MAX:  # a sum of squares: NaN or inf fails
                 raise NonFiniteLossError(
                     f"non-finite loss {grads.loss!r} at epoch {epoch}, batch {k}",
                     epoch=epoch,

@@ -288,6 +288,18 @@ def train_args(data, val, model, history, **kw):
     return args
 
 
+def test_train_refuses_non_finite_adam_settings_before_any_epoch(tmp_path, capsys):
+    data = tmp_path / "train.jsonl"
+    assert main(gen_args(data, count=8)) == 0
+    model, history = tmp_path / "model.json", tmp_path / "history.csv"
+    for flag, value in [("--step-size", "nan"), ("--step-size", "inf"), ("--epsilon", "inf")]:
+        capsys.readouterr()
+        args = train_args(data, data, model, history) + [flag, value]
+        assert main(args) == 2
+        assert f"{flag[2:].replace('-', '_')} must be finite and > 0" in capsys.readouterr().err
+        assert not model.exists() and not history.exists()
+
+
 def test_train_and_eval_pipeline(tmp_path, capsys):
     data = tmp_path / "train.jsonl"
     val = tmp_path / "val.jsonl"

@@ -451,6 +451,7 @@ def corrupt_records(tmp_path, edits):
         ({1: ("generation.count", "4")}, SchemaError, 1),
         ({1: ("generation.rejected", 0.5)}, SchemaError, 1),
         ({1: ("generation.range_hi", "5.0")}, SchemaError, 1),
+        ({1: ("generation.range_hi", float("nan"))}, SchemaError, 1),  # not finite
         ({1: ("generation.seed", 4.5)}, SchemaError, 1),
         ({1: ("generation.sampler", 3)}, SchemaError, 1),
         # wrong JSON types in nested entries are refused, not coerced

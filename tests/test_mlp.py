@@ -442,18 +442,15 @@ def test_range_checks_refuse_exactly_what_entrywise_comparisons_refuse():
         out[1, 0] = value
         return out
 
-    # a NaN entry alone passes both range checks, as entrywise comparisons
-    # let it; the allocation then refuses the NaN power
-    assert np.isnan(encode_input(with_entry(np.nan), 5.0)[2])
-    raw = np.array([0.5, np.nan, 0.25, 1.0])
-    assert np.isnan(_decode_powers(raw[None], 5000.0, 5000.0)[0, 1])
-    with pytest.raises(InvalidArgumentError, match="powers must be finite and >= 0, got nan"):
-        decode_output(raw, 5000.0, 5000.0)
-    # ... but a NaN does not hide an entry out of range
-    with pytest.raises(InvalidArgumentError, match=re.escape("(0, 5.0], got range [nan, nan]")):
-        encode_input(np.where(np.eye(4, 2) > 0, np.nan, 9.0), 5.0)
-    with pytest.raises(InvalidArgumentError, match=r"raw outputs must lie in \[0, 1\]"):
-        decode_output(np.array([np.nan, 2.0]), 5000.0, 5000.0)
+    # a NaN entry is refused where it enters, with the statistics or the
+    # raw-output message, alone or beside an entry out of range
+    for sample in (with_entry(np.nan), np.where(np.eye(4, 2) > 0, np.nan, 9.0)):
+        with pytest.raises(InvalidArgumentError,
+                           match=re.escape("(0, 5.0], got range [nan, nan]")):
+            encode_input(sample, 5.0)
+    for raw in (np.array([0.5, np.nan, 0.25, 1.0]), np.array([np.nan, 2.0])):
+        with pytest.raises(InvalidArgumentError, match=r"raw outputs must lie in \[0, 1\]"):
+            decode_output(raw, 5000.0, 5000.0)
     # empty stacks are legal
     assert encode_input(np.empty((0, 4, 2)), 5.0).shape == (0, 8)
     assert _decode_powers(np.empty((0, 4)), 5000.0, 5000.0).shape == (0, 4)

@@ -283,8 +283,11 @@ def test_training_config_validation():
         TrainingConfig(batch_size=0)
     with pytest.raises(InvalidArgumentError):
         TrainingConfig(beta1=1.0)
-    with pytest.raises(InvalidArgumentError):
-        TrainingConfig(step_size=0.0)
+    for value in (0.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidArgumentError, match="step_size must be finite and > 0"):
+            TrainingConfig(step_size=value)
+        with pytest.raises(InvalidArgumentError, match="epsilon must be finite and > 0"):
+            TrainingConfig(epsilon=value)
 
 
 def test_sweep_shapes_and_determinism():
