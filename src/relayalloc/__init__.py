@@ -56,7 +56,6 @@ from .mlp import (
     adam_step,
     decode_output,
     encode_input,
-    encode_target,
     flop_count,
     forward,
     gradients,
@@ -131,7 +130,7 @@ __all__ = [
     "MODEL_FORMAT", "MlpParams", "AdamState", "Gradients", "Batch",
     "NormalizationSpec",
     "sigmoid", "init_mlp", "init_adam", "forward", "mse_loss", "gradients",
-    "adam_step", "flop_count", "encode_input", "encode_target", "decode_output",
+    "adam_step", "flop_count", "encode_input", "decode_output",
     "save_model", "load_model",
     # training and evaluation
     "TrainingConfig", "TrainingHistory", "HistoryPoint",

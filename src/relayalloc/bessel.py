@@ -115,22 +115,23 @@ def _k1e_scaled_large(x: np.ndarray) -> np.ndarray:
     return u * b1 - b2 + 0.5 * _CHEB_K1E[0]
 
 
-def _validate(x) -> tuple[np.ndarray, tuple]:
-    """x flattened, and its shape."""
+def _validate(x, name: str = "k1", zero: bool = False) -> tuple[np.ndarray, tuple, float]:
+    """x flattened, its shape and its least entry. Refuses NaN and x <= 0
+    (only x < 0 when ``zero``), naming the function ``name``."""
     arr = np.asarray(x, dtype=float)
     shape, arr = arr.shape, arr.reshape(-1)
     least = np.minimum.reduce(arr, initial=np.inf)  # NaN if any entry is
     if np.isnan(least):
-        raise InvalidArgumentError("k1 argument is NaN")
-    if least <= 0:
-        raise InvalidArgumentError("k1 is defined for x > 0 only")
-    return arr, shape
+        raise InvalidArgumentError(f"{name} argument is NaN")
+    if least < 0 or (least == 0 and not zero):
+        raise InvalidArgumentError(f"{name} is defined for x {'>=' if zero else '>'} 0 only")
+    return arr, shape, least
 
 
 def k1(x):
     """K1(x) for x > 0. Accepts scalars or arrays; underflows to 0.0 for
     large x without intermediate overflow."""
-    arr, shape = _validate(x)
+    arr, shape, _ = _validate(x)
     out = np.empty_like(arr)
     small = arr <= 2.0
     if small.any():
@@ -157,7 +158,7 @@ def _k1e(arr: np.ndarray) -> np.ndarray:
 
 def k1e(x):
     """Exponentially scaled e^x K1(x); safe for arbitrarily large x."""
-    arr, shape = _validate(x)
+    arr, shape, _ = _validate(x)
     out = _k1e(arr)
     return out.reshape(shape) if shape else float(out[0])
 
@@ -168,13 +169,7 @@ def xk1e(x):
     Continuous extension at x = 0: the limit is exactly 1 (x K1(x) -> 1),
     so x = 0 is accepted here even though k1 itself is not defined there.
     """
-    arr = np.asarray(x, dtype=float)
-    shape, arr = arr.shape, arr.reshape(-1)
-    least = np.minimum.reduce(arr, initial=np.inf)  # NaN if any entry is
-    if np.isnan(least):
-        raise InvalidArgumentError("xk1e argument is NaN")
-    if least < 0:
-        raise InvalidArgumentError("xk1e is defined for x >= 0 only")
+    arr, shape, least = _validate(x, "xk1e", zero=True)
     if least > 0:
         out = arr * _k1e(arr)
     else:

@@ -1,9 +1,10 @@
 """Dataset generation, labeling, splitting and JSON-lines persistence.
 
 A sample is a (4, ``SystemConfig.cols``) matrix of per-subcarrier
-statistics, rows (mu1, mu2, eta1, eta2). Labels are the grid-search
-allocations. Files are JSON lines: one header object holding the system
-configuration and the generation metadata, then one object per record.
+statistics, rows (mu1, mu2, eta1, eta2). Labels are the allocations of
+``gridsearch._solve_many``, the search's many-sample entry. Files are JSON
+lines: one header object holding the system configuration and the
+generation metadata, then one object per record.
 Floats are serialized with shortest round-trip precision, so save -> load
 is bit-exact; ``load_dataset`` re-validates every documented invariant and
 refuses files that fail any of them (a wrongly typed field included;
@@ -17,7 +18,6 @@ views that the loader's checks, training and evaluation read instead.
 from __future__ import annotations
 
 import collections
-import contextlib
 import itertools
 import json
 import time
@@ -37,18 +37,13 @@ from .errors import (
 )
 from .gridsearch import (
     STOP_REASONS,
-    OracleResult,
     PowerAllocation,
     SystemConfig,
-    _batch_size,
-    _budget_error,
-    _check_cols,
+    _check_first_grid,
     _outage,
     _outage_at_caps,
     _row_totals,
-    _search_options,
-    _solve_batch,
-    evaluation_budget,
+    _solve_many,
 )
 # Not called here; perfbench/layers.py traces these names.
 from .gridsearch import feasibility_check, solve  # noqa: F401
@@ -193,11 +188,6 @@ def draw_feasible_samples(
     return np.concatenate(kept), rejected
 
 
-def _label_chunk(args) -> list[OracleResult]:
-    samples, config, delta, solver_kwargs = args
-    return _solve_batch(samples, config, delta, **solver_kwargs)
-
-
 def label_dataset(
     samples: np.ndarray,
     config: SystemConfig,
@@ -208,47 +198,16 @@ def label_dataset(
     solver_kwargs: dict | None = None,
     progress=None,
 ) -> Dataset:
-    """Attach grid-search labels to every sample (all must be feasible).
-
-    Samples are solved in contiguous chunks by the lock-step search, each
-    record bitwise the one-sample ``solve``; ``workers > 1`` hands the
-    chunks to a process pool, and records keep input order either way.
-    A failure raises what labeling one sample at a time would: the first
-    failing sample's error. ``progress(done, total)`` is called once per
-    chunk. The dataset's ``labeling`` tells the wall time and stop reasons.
-    """
+    """Attach grid-search labels to every sample (all must be feasible) by
+    ``gridsearch._solve_many``: records are bitwise one-sample ``solve``
+    results in input order for any ``workers``, and failures and ``progress``
+    calls are as there. ``labeling`` tells the wall time and stop reasons."""
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 3 or samples.shape[1] != 4:
-        raise InvalidArgumentError(f"expected samples shaped (count, 4, cols), got {samples.shape}")
-    _check_cols(samples.shape[2], config)
     started = time.perf_counter()
-    options = _search_options(solver_kwargs or {})
-    invalid = np.flatnonzero(~(np.isfinite(samples) & (samples > 0)).all(axis=(1, 2)))
-    valid = int(invalid[0]) if len(invalid) else len(samples)
-    size = _batch_size(samples.shape[2], options["grid0"], options["refine_points"])
-    jobs = [(samples[i : min(i + size, valid)], config, delta, options)
-            for i in range(0, valid, size)]
-    results: list[OracleResult] = []
-    if workers > 1:  # imported here: only a pool needs multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
-    with pool:
-        for chunk in (pool.map if workers > 1 else map)(_label_chunk, jobs):
-            results += chunk
-            if progress is not None:
-                progress(len(results), len(samples))
-    if valid < len(samples):
-        stats_from_sample(samples[valid])  # raises the error of the invalid statistic
-    records = tuple(
-        DatasetRecord(
-            sample=v,
-            label=res.allocation,
-            total_power=res.total_power,
-            achieved_outage=res.achieved_outage,
-            evaluations=res.evaluations,
-        )
-        for v, res in zip(samples, results)
-    )
+    results = _solve_many(samples, config, delta, workers=workers, progress=progress,
+                          **(solver_kwargs or {}))
+    records = tuple(DatasetRecord(v, res.allocation, res.total_power, res.achieved_outage,
+                                  res.evaluations) for v, res in zip(samples, results))
     if gen is None:
         gen = GenerationSpec("uniform", float(samples.min()), float(samples.max()), 0, None, delta)
     gen = replace(gen, count=len(records), delta=delta)
@@ -273,10 +232,7 @@ def build_dataset(
     progress=None,
 ) -> Dataset:
     """The gen-data orchestration: refuse an over-budget level-0 grid, then draw and label."""
-    options = _search_options(solver_kwargs or {})
-    cells = evaluation_budget(config.cols, options["grid0"], options["refine_points"], 0)
-    if cells > options["max_evaluations"]:
-        raise _budget_error(0, cells, options["max_evaluations"], 0)
+    _check_first_grid(config, **(solver_kwargs or {}))
     if sampler == "uniform":
         samples, rejected = draw_feasible_samples(count, range_lo, range_hi, config, seed)
         grid_levels = None

@@ -28,8 +28,10 @@ once (``_solve_batch``). Each level is one scan of every instance still
 refining; each instance stops on its own, when its axes reach the
 resolution, at the caller's ``max_levels`` or at the hard cap of 64
 levels, and ``OracleResult.stop_reason`` says which. ``solve`` is the
-one-instance call and dataset labeling passes chunks of samples; an
-instance's result is bitwise the same alone or in any chunk.
+one-instance call; ``_solve_many``, the many-sample entry, owns chunking,
+the worker pool and the failure order, and ``_check_first_grid`` refuses
+an over-budget level-0 grid up front. An instance's result is bitwise the
+same alone or in any chunk.
 
 Tie-breaking: among feasible grid points of equal total power, the
 lexicographically smallest vector (pt_1..pt_T, pr_1..pr_T) wins. Both
@@ -65,6 +67,8 @@ not pruning spared the scan from forming it. ``solve`` never exceeds
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -79,7 +83,7 @@ from .errors import (
     NumericConsistencyError,
     check_finite,
 )
-from .outage import _block_outage, _combine, _phi
+from .outage import SubcarrierStats, _block_outage, _combine, _phi
 # Not called here; perfbench/layers.py traces outage calls through these names.
 from .outage import all_active_outage, average_outage, outage_grid  # noqa: F401
 from .saps import _check_m, enumerate_saps
@@ -405,6 +409,46 @@ def _search_options(options: dict) -> dict:
 def _batch_size(cols: int, grid0: int, refine_points: int) -> int:
     """Instances per lock-step chunk: one level's pairs fit ``_PAIR_BUDGET``."""
     return max(1, _PAIR_BUDGET // (cols * max(grid0, refine_points) ** 2))
+
+
+def _check_first_grid(config: SystemConfig, **options) -> None:
+    """Raise the search's own error, before any sample exists, when the
+    level-0 grid of ``solve``'s options alone crosses ``max_evaluations``."""
+    options = _search_options(options)
+    cells = evaluation_budget(config.cols, options["grid0"], options["refine_points"], 0)
+    if cells > options["max_evaluations"]:
+        raise _budget_error(0, cells, options["max_evaluations"], 0)
+
+
+def _solve_many(samples: np.ndarray, config: SystemConfig, delta: float, *, workers: int = 1,
+                progress=None, **options) -> list[OracleResult]:
+    """``solve`` for each (4, cols) matrix of a (N, 4, cols) float array, in
+    order: ``_solve_batch`` on chunks of ``_batch_size``, in a pool of
+    ``workers`` processes when more than one. A failure raises the first
+    failing sample's error, an invalid statistic's included (only the rows
+    before it are searched); ``progress(done, total)`` runs once per chunk."""
+    if samples.ndim != 3 or samples.shape[1] != 4:
+        raise InvalidArgumentError(f"expected samples shaped (count, 4, cols), got {samples.shape}")
+    _check_cols(samples.shape[2], config)
+    options = _search_options(options)
+    invalid = np.flatnonzero(~(np.isfinite(samples) & (samples > 0)).all(axis=(1, 2)))
+    valid = int(invalid[0]) if len(invalid) else len(samples)
+    size = _batch_size(samples.shape[2], options["grid0"], options["refine_points"])
+    chunks = [samples[i : min(i + size, valid)] for i in range(0, valid, size)]
+    solve_chunk = functools.partial(_solve_batch, config=config, delta=delta, **options)
+    results: list[OracleResult] = []
+    if workers > 1:  # imported here: only a pool needs multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+    with pool:
+        for chunk in (pool.map if workers > 1 else map)(solve_chunk, chunks):
+            results += chunk
+            if progress is not None:
+                progress(len(results), len(samples))
+    if valid < len(samples):
+        for column in samples[valid].T:
+            SubcarrierStats(*column)  # raises the error of the invalid statistic
+    return results
 
 
 def _solve_batch(

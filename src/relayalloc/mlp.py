@@ -395,11 +395,6 @@ def _decode_powers(raw: np.ndarray, pt_max: float, pr_max: float) -> np.ndarray:
     return raw * _caps(pt_max, pr_max, raw.shape[-1])
 
 
-def encode_target(allocation: PowerAllocation, pt_max: float, pr_max: float) -> np.ndarray:
-    """Normalize an allocation into [0, 1]^(2T) by the power caps."""
-    return _encode_powers(np.array(allocation.as_vector(), dtype=float), pt_max, pr_max)
-
-
 def decode_output(raw: np.ndarray, pt_max: float, pr_max: float) -> PowerAllocation:
     """Map a raw network output in [0, 1]^(2T) back to power units."""
     arr = np.asarray(raw, dtype=float)

@@ -115,14 +115,14 @@ def end_to_end_snr(g1, g2, power: SubcarrierPower, eta1: float, eta2: float):
 
 
 def _clamp_probability(p):
-    """p as an at least 1-d array clipped to [0, 1]; an entry beyond the
-    tolerance raises. When every entry is already in [0, 1] (no NaN) the
+    """p as an at least 1-d array clipped to [0, 1]; a NaN or an entry
+    beyond the tolerance raises. When every entry is already in [0, 1] the
     array is returned as it is: the clip would change nothing."""
     arr = np.atleast_1d(np.asarray(p, dtype=float))
     least = np.minimum.reduce(arr, axis=None, initial=np.inf)
     if least >= 0.0 and np.maximum.reduce(arr, axis=None, initial=-np.inf) <= 1.0:
         return arr
-    bad = arr[(arr < -_PROB_TOL) | (arr > 1.0 + _PROB_TOL)]
+    bad = arr[~((arr >= -_PROB_TOL) & (arr <= 1.0 + _PROB_TOL))]  # NaN fails too
     if bad.size:
         raise NumericConsistencyError(
             f"outage probability escaped [0, 1] beyond tolerance: {bad[:4]}"
@@ -131,12 +131,15 @@ def _clamp_probability(p):
 
 
 def _phi(mu1, mu2, eta1, eta2, pt, pr, s: float) -> np.ndarray:
-    """Phi(s) elementwise over broadcastable arrays (zero or NaN power -> 1).
+    """Phi(s) elementwise over broadcastable arrays (zero or NaN power, or
+    an A that overflows, -> 1).
 
     The statistics broadcast as they come, so they are never copied out to
     the full shape. Where some power is not positive, both powers become 1
     there (dividing by no zero) and the Bessel factor runs on the positive
     entries only; each positive entry's arithmetic is the same either way.
+    An infinite z (A overflows when the powers are tiny) is left out the
+    same way: its limit is 1, and the product would give inf * 0 = NaN.
     """
     on = np.greater(pt, 0.0) & np.greater(pr, 0.0)
     every = on.all()
@@ -145,10 +148,10 @@ def _phi(mu1, mu2, eta1, eta2, pt, pr, s: float) -> np.ndarray:
     b = s * eta1 / (mu1 * pt)
     a = s * eta2 / (mu1 * mu2 * pt * pr)
     z = 2.0 * np.sqrt(a)
-    if every:
+    if every and np.maximum.reduce(z, axis=None, initial=0.0) != np.inf:
         out = 1.0 - xk1e(z) * np.exp(-(z + b))
     else:
-        on = np.broadcast_to(on, z.shape)
+        on = np.broadcast_to(on, z.shape) & (z != np.inf)
         out, z, b = np.ones(z.shape), z[on], np.broadcast_to(b, on.shape)[on]
         out[on] = 1.0 - xk1e(z) * np.exp(-(z + b))
     return _clamp_probability(out).reshape(np.shape(a))
@@ -197,8 +200,9 @@ def outage_grid(stats: SubcarrierStats, pt, pr, s: float) -> np.ndarray:
     check_finite("snr threshold", s)
     pt = np.asarray(pt, dtype=float)
     pr = np.asarray(pr, dtype=float)
-    if (pt < 0).any() or (pr < 0).any():
-        raise InvalidArgumentError("powers must be >= 0")
+    for extreme in (pt.min(initial=0.0), pt.max(initial=0.0), pr.min(initial=0.0),
+                    pr.max(initial=0.0)):  # a NaN entry makes its extremes NaN
+        check_finite("powers", float(extreme), positive=False)
     return _phi(stats.mu1, stats.mu2, stats.eta1, stats.eta2, pt, pr, s)
 
 

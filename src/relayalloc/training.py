@@ -238,7 +238,9 @@ _REPAIR_DEPTH = 4  # bisection levels settled per outage call
 
 
 def _scale_up_repair(vec: np.ndarray, samples: np.ndarray, config: SystemConfig):
-    """Smallest common factor >= 1 restoring feasibility, capped at the box.
+    """A common factor >= 1 restoring feasibility, capped at the box: the
+    bisection's answer, not always the smallest feasible factor, since
+    feasibility along the factor is not monotone at the last ulp.
 
     ``vec`` holds one allocation (pt_1..pt_T, pr_1..pr_T) per row for the
     statistic matrices ``samples`` (K, 4, T). Returns the indices of the

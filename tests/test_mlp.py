@@ -21,7 +21,6 @@ from relayalloc import (
     dataset_arrays,
     decode_output,
     encode_input,
-    encode_target,
     flop_count,
     forward,
     gradients,
@@ -33,7 +32,7 @@ from relayalloc import (
     sigmoid,
     train,
 )
-from relayalloc.mlp import NormalizationSpec, _decode_powers
+from relayalloc.mlp import NormalizationSpec, _decode_powers, _encode_powers
 
 # Three Adam steps on f(theta) = theta^2 from theta = 1 with step size 0.1,
 # beta1 = 0.9, beta2 = 0.999, epsilon = 1e-8; frozen from an independent
@@ -409,7 +408,7 @@ def test_parameters_and_moments_are_views_of_one_vector():
 
 def test_encode_decode_round_trip():
     alloc = PowerAllocation(pt=(120.0, 37.5), pr=(14.25, 60.0))
-    raw = encode_target(alloc, pt_max=5000.0, pr_max=5000.0)
+    raw = _encode_powers(np.array(alloc.as_vector()), pt_max=5000.0, pr_max=5000.0)
     assert raw.shape == (4,)
     assert ((raw >= 0) & (raw <= 1)).all()
     back = decode_output(raw, pt_max=5000.0, pr_max=5000.0)
@@ -429,7 +428,7 @@ def test_encode_input_layout_and_validation():
     with pytest.raises(InvalidArgumentError):
         encode_input(v, range_hi=4.0)  # entries above the range
     with pytest.raises(InvalidArgumentError):
-        encode_target(PowerAllocation(pt=(6000.0,), pr=(1.0,)), 5000.0, 5000.0)
+        _encode_powers(np.array([6000.0, 1.0]), 5000.0, 5000.0)
     with pytest.raises(InvalidArgumentError):
         decode_output(np.array([0.2, 1.3]), 5000.0, 5000.0)
 

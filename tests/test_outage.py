@@ -188,6 +188,31 @@ def test_clamp_rejects_gross_probability_escapes():
     assert _clamp_probability(-1e-13)[0] == 0.0
     with pytest.raises(NumericConsistencyError):
         _clamp_probability(1.5)
+    with pytest.raises(NumericConsistencyError):
+        _clamp_probability([0.5, float("nan")])
+
+
+def test_outage_grid_refuses_non_finite_powers():
+    stats = SubcarrierStats(1.0, 1.0, 0.5, 0.5)
+    for bad in (float("nan"), float("inf"), -1.0):
+        for pt, pr in (([bad, 1.0], 1.0), (1.0, [1.0, bad])):
+            with pytest.raises(InvalidArgumentError, match="powers must be finite and >= 0"):
+                outage_grid(stats, pt, pr, 1.0)
+    assert outage_grid(stats, [0.0, 1.0], 1.0, 1.0)[0] == 1.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # A overflows on the way
+def test_powers_too_small_for_a_finite_z_mean_certain_outage():
+    # mu1 mu2 pt pr underflows, so A and z overflow; the limit is Phi = 1
+    for pt, pr in ((1e-200, 1e-200), (5e-324, 5e-324), (1e-320, 1.0)):
+        assert subcarrier_outage(UNIT, SubcarrierPower(pt, pr), 1.0) == 1.0
+    # mixed with ordinary powers, with and without a zero power among them
+    for pts in ([1e-200, 10.0, 3.0], [1e-200, 10.0, 0.0]):
+        grid = outage_grid(UNIT, pts, [1e-200, 10.0, 3.0], 1.0)
+        assert grid[0] == 1.0
+        assert grid[1] == subcarrier_outage(UNIT, SubcarrierPower(10.0, 10.0), 1.0)
+        assert grid[2] == (1.0 if pts[2] == 0.0 else
+                           subcarrier_outage(UNIT, SubcarrierPower(3.0, 3.0), 1.0))
 
 
 # Hypothesis properties. The block outage is monotone in every power in
