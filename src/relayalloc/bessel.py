@@ -23,6 +23,16 @@ x beyond roughly 746 without overflowing any intermediate.
 
 Worst measured relative error against a high-precision reference over
 [1e-6, 30] is about 6e-16.
+
+Layout of the series: I1 and the K1 correction are the two rows of one
+(2, n) accumulator, and each Horner step is one multiply by a contiguous
+(2, n) copy of q = x^2/4 and one add of a 0-d coefficient to each row. No
+ufunc call broadcasts, which matters for the outage kernel's small calls:
+on a few entries a broadcast operand costs a ufunc call two to four times
+its same-shape price. Memory rule: every temporary is O(n), a fixed number
+of length-n rows (the series holds two (2, n) buffers), and no table grows
+with the number of coefficients times n, since the grid search evaluates
+the kernel on tens of thousands of arguments at once.
 """
 
 from __future__ import annotations
@@ -88,20 +98,29 @@ _CHEB_K1E = np.array(
 )
 
 
-# both series' coefficients from k = 20 down to 0, each a column (I1, K1 correction)
-_SERIES_COEF = np.stack([_I1_COEF, _K1_COEF], axis=1)[::-1, :, None]
+# both series' Horner coefficients from k = 20 down to 0, as (I1, K1
+# correction) pairs of 0-d arrays
+_SERIES_COEF = [(np.array(a), np.array(b)) for a, b in zip(_I1_COEF[::-1], _K1_COEF[::-1])]
 
 
 def _k1_series(x: np.ndarray) -> np.ndarray:
-    """Ascending series, valid on (0, 2]; I1's and the K1 correction's Horner
-    steps run as one in-place loop over both rows."""
-    q = 0.25 * x * x
-    acc = np.zeros((2, len(x)))
-    for c in _SERIES_COEF:
-        np.add(np.multiply(acc, q, out=acc), c, out=acc)
+    """Ascending series, valid on (0, 2], in the two-row Horner layout the
+    module docstring describes."""
+    n = len(x)
+    quarter = 0.25 * x
+    q = np.empty((2, n))
+    np.multiply(quarter, x, out=q[0])
+    q[1] = q[0]
+    acc = np.empty((2, n))
     i1, ks = acc
-    i1 *= 0.5 * x
-    return 1.0 / x + np.log(0.5 * x) * i1 - 0.25 * x * ks
+    i1[...], ks[...] = _SERIES_COEF[0]  # the first step, 0 * q + c, is exactly c
+    for a, b in _SERIES_COEF[1:]:
+        np.multiply(acc, q, out=acc)
+        np.add(i1, a, out=i1)
+        np.add(ks, b, out=ks)
+    half = 0.5 * x
+    i1 *= half
+    return 1.0 / x + np.log(half) * i1 - quarter * ks
 
 
 def _k1e_scaled_large(x: np.ndarray) -> np.ndarray:
@@ -142,11 +161,14 @@ def k1(x):
     return out.reshape(shape) if shape else float(out[0])
 
 
-def _k1e(arr: np.ndarray) -> np.ndarray:
-    """e^x K1(x) for a 1-d array of valid (positive) arguments, unchecked."""
-    small = arr <= 2.0
-    if small.all():
+def _k1e(arr: np.ndarray, greatest: float | None = None) -> np.ndarray:
+    """e^x K1(x) for a 1-d array of valid (positive) arguments, none above
+    ``greatest`` (default: their maximum), unchecked."""
+    if greatest is None:
+        greatest = np.maximum.reduce(arr, initial=0.0)
+    if greatest <= 2.0:
         return _k1_series(arr) * np.exp(arr)
+    small = arr <= 2.0
     out = np.empty_like(arr)
     if small.any():
         xs = arr[small]
@@ -163,17 +185,30 @@ def k1e(x):
     return out.reshape(shape) if shape else float(out[0])
 
 
+def _xk1e(arr: np.ndarray, least: float, greatest: float) -> np.ndarray:
+    """x e^x K1(x) for a 1-d array of finite arguments in [least, greatest],
+    least >= 0, unchecked; 1 at x = 0."""
+    if least > 0:
+        return arr * _k1e(arr, greatest)
+    out = np.ones_like(arr)
+    pos = arr > 0
+    out[pos] = arr[pos] * _k1e(arr[pos], greatest)
+    return out
+
+
 def xk1e(x):
     """x e^x K1(x), the combination the outage closed form needs.
 
     Continuous extension at x = 0: the limit is exactly 1 (x K1(x) -> 1),
     so x = 0 is accepted here even though k1 itself is not defined there.
+    At x = inf the limit is inf (x e^x K1(x) grows like sqrt(pi x / 2)).
     """
     arr, shape, least = _validate(x, "xk1e", zero=True)
-    if least > 0:
-        out = arr * _k1e(arr)
-    else:
-        out = np.ones_like(arr)
-        pos = arr > 0
-        out[pos] = arr[pos] * _k1e(arr[pos])
+    greatest = np.maximum.reduce(arr, initial=0.0)
+    if greatest < np.inf:
+        out = _xk1e(arr, least, greatest)
+    else:  # inf * e^inf K1(inf) would be inf * 0
+        out = np.full_like(arr, np.inf)
+        finite = arr < np.inf
+        out[finite] = _xk1e(arr[finite], least, greatest)
     return out.reshape(shape) if shape else float(out[0])

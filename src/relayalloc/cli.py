@@ -29,6 +29,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import os
@@ -498,7 +499,14 @@ _COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every subcommand, built once per process.
+
+    Parsing leaves the parser as it was (each call fills a fresh
+    namespace), so ``main`` reuses it; the handlers it names look up the
+    functions they call when they run.
+    """
     parser = argparse.ArgumentParser(
         prog="relayalloc",
         description="Minimum-power allocation for two-hop relayed OFDM "

@@ -402,7 +402,12 @@ def solve(
 
 
 def _search_options(options: dict) -> dict:
-    """``solve``'s keyword options, its defaults filled in."""
+    """``solve``'s keyword options, its defaults filled in; a key that
+    ``solve`` does not take is refused."""
+    unknown = sorted(set(options) - set(solve.__kwdefaults__))
+    if unknown:
+        raise InvalidArgumentError(f"unknown search option(s): {', '.join(unknown)}; "
+                                   f"solve takes {', '.join(solve.__kwdefaults__)}")
     return {**solve.__kwdefaults__, **options}
 
 

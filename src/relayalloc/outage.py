@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import xk1e
+from .bessel import _xk1e, xk1e
 from .errors import InvalidArgumentError, NumericConsistencyError, check_finite
 from .saps import SapSet
 
@@ -114,13 +114,15 @@ def end_to_end_snr(g1, g2, power: SubcarrierPower, eta1: float, eta2: float):
     return (power.pt * power.pr * g1 * g2) / (power.pr * g2 * eta1 + eta2)
 
 
-def _clamp_probability(p):
+def _clamp_probability(p) -> np.ndarray:
     """p as an at least 1-d array clipped to [0, 1]; a NaN or an entry
     beyond the tolerance raises. When every entry is already in [0, 1] the
     array is returned as it is: the clip would change nothing."""
-    arr = np.atleast_1d(np.asarray(p, dtype=float))
-    least = np.minimum.reduce(arr, axis=None, initial=np.inf)
-    if least >= 0.0 and np.maximum.reduce(arr, axis=None, initial=-np.inf) <= 1.0:
+    arr = np.asarray(p, dtype=float)
+    if not arr.ndim:
+        arr = arr.reshape(1)
+    if (np.minimum.reduce(arr, axis=None, initial=np.inf) >= 0.0
+            and np.maximum.reduce(arr, axis=None, initial=-np.inf) <= 1.0):
         return arr
     bad = arr[~((arr >= -_PROB_TOL) & (arr <= 1.0 + _PROB_TOL))]  # NaN fails too
     if bad.size:
@@ -141,15 +143,20 @@ def _phi(mu1, mu2, eta1, eta2, pt, pr, s: float) -> np.ndarray:
     An infinite z (A overflows when the powers are tiny) is left out the
     same way: its limit is 1, and the product would give inf * 0 = NaN.
     """
-    on = np.greater(pt, 0.0) & np.greater(pr, 0.0)
-    every = on.all()
+    on = True
+    every = (np.minimum.reduce(pt, axis=None, initial=np.inf) > 0.0
+             and np.minimum.reduce(pr, axis=None, initial=np.inf) > 0.0)  # NaN fails too
     if not every:
+        on = np.greater(pt, 0.0) & np.greater(pr, 0.0)
         pt, pr = np.where(on, pt, 1.0), np.where(on, pr, 1.0)
     b = s * eta1 / (mu1 * pt)
     a = s * eta2 / (mu1 * mu2 * pt * pr)
     z = 2.0 * np.sqrt(a)
-    if every and np.maximum.reduce(z, axis=None, initial=0.0) != np.inf:
-        out = 1.0 - xk1e(z) * np.exp(-(z + b))
+    flat = z.reshape(-1)
+    greatest = np.maximum.reduce(flat, initial=0.0)
+    if every and greatest < np.inf:  # a NaN fails too: z is finite and >= 0, xk1e's checks pass
+        least = np.minimum.reduce(flat, initial=np.inf)
+        out = 1.0 - _xk1e(flat, least, greatest).reshape(z.shape) * np.exp(-(z + b))
     else:
         on = np.broadcast_to(on, z.shape) & (z != np.inf)
         out, z, b = np.ones(z.shape), z[on], np.broadcast_to(b, on.shape)[on]
@@ -169,8 +176,9 @@ def _block_outage(samples, vec, s: float, patterns) -> np.ndarray:
     """
     samples, vec = np.asarray(samples, dtype=float), np.asarray(vec, dtype=float)
     cols = samples.shape[-1]
-    phi = _phi(*np.moveaxis(samples, -2, 0), vec[..., :cols], vec[..., cols:], s)
-    return _combine(np.moveaxis(1.0 - phi, -1, 0), patterns)
+    stats = (samples[..., row, :] for row in range(4))
+    q = 1.0 - _phi(*stats, vec[..., :cols], vec[..., cols:], s)
+    return _combine([q[..., j] for j in range(cols)], patterns)
 
 
 def _combine(q, patterns) -> np.ndarray:
@@ -180,19 +188,19 @@ def _combine(q, patterns) -> np.ndarray:
     of factors in [0, 1], ``1 -``, sum, division) is monotone under IEEE
     rounding, so the result never rises when any q_j rises.
     """
-    shape = np.broadcast_shapes(*(np.shape(x) for x in q))
     total = None
     for pattern in patterns:
-        prod = 1.0
-        for j in pattern:
-            prod = prod * q[j]
+        factors = [q[j] for j in pattern]
+        prod = factors[0] if factors else 1.0  # 1.0 * q_j would be q_j exactly
+        for f in factors[1:]:
+            prod = prod * f
         term = 1.0 - prod
         total = term if total is None else total + term
     if len(patterns) > 1:
         total = total / len(patterns)
-    if np.shape(total) != shape:  # some q is in no pattern
-        total = np.broadcast_to(total, shape).copy()
-    return _clamp_probability(total).reshape(shape)
+    if len({j for pattern in patterns for j in pattern}) < len(q):  # some q is in no pattern
+        total = np.broadcast_to(total, np.broadcast_shapes(*(np.shape(x) for x in q))).copy()
+    return _clamp_probability(total).reshape(np.shape(total))
 
 
 def outage_grid(stats: SubcarrierStats, pt, pr, s: float) -> np.ndarray:

@@ -250,14 +250,17 @@ def _scale_up_repair(vec: np.ndarray, samples: np.ndarray, config: SystemConfig)
     The result is bitwise that of ``_REPAIR_STEPS`` bisection steps per row
     (mid = 0.5 (lo + hi) from lo = 1; a feasible mid becomes hi, an
     infeasible one lo), settled ``_REPAIR_DEPTH`` levels per outage call:
-    each round evaluates every midpoint of each live row's depth-d subtree
-    (2^d - 1 of them, in heap order) in one call and walks the row down its
-    d outcomes. That is exact because the predicate is deterministic and
-    the kernel is batch-invariant. A row stops once its next midpoint
-    equals hi (tested feasible) or a lo that a step rejected: that step
-    would reproduce (lo, hi), and so would every later one. The untested
-    starting lo = 1 stops nothing, so a caller may pass a row that is
-    already feasible. A repair makes at most 1 + ceil(80 / 4) calls.
+    each round slices the 2^d + 1 points of each live row's depth-d subtree
+    out of one array, level by level, each point 0.5 (left + right) of the
+    two that bracket it a level up, which are the bits of its bisection
+    step; it evaluates the 2^d - 1 inner points in one call and walks the
+    row down its d outcomes by integer index. That is exact because the
+    predicate is deterministic and the kernel is batch-invariant. A row
+    stops once its next midpoint equals hi (tested feasible) or a lo that a
+    step rejected: that step would reproduce (lo, hi), and so would every
+    later one. The untested starting lo = 1 stops nothing, so a caller may
+    pass a row that is already feasible. A repair makes at most
+    1 + ceil(80 / 4) calls.
     """
     cols = samples.shape[2]
     box = np.repeat([config.pt_max, config.pr_max], cols)
@@ -279,23 +282,20 @@ def _scale_up_repair(vec: np.ndarray, samples: np.ndarray, config: SystemConfig)
     levels = 0
     while levels < _REPAIR_STEPS and len(live):
         depth = min(_REPAIR_DEPTH, _REPAIR_STEPS - levels)
-        low, high, rej = lo[live], hi[live], rejected[live]
-        nodes_lo, nodes_hi, mids = low[None], high[None], []
-        for _ in range(depth):
-            mid = 0.5 * (nodes_lo + nodes_hi)
-            mids.append(mid)
-            # children of node k sit at 2k (mid feasible) and 2k + 1 within the next level
-            nodes_lo = np.stack([nodes_lo, mid], axis=1).reshape(-1, len(live))
-            nodes_hi = np.stack([mid, nodes_hi], axis=1).reshape(-1, len(live))
-        mids = np.concatenate(mids)
-        ok = fits(rows[live], mids)
-        node, at = np.zeros(len(live), dtype=int), np.arange(len(live))  # heap index per row
-        for _ in range(depth):
-            mid, good = mids[node, at], ok[node, at]
-            high = np.where(good, mid, high)
-            low = np.where(good, low, mid)
-            rej |= ~good
-            node = 2 * node + 2 - good
+        top = 1 << depth
+        halves = [top >> k for k in range(1, depth + 1)]  # 2^(d-1), ..., 2, 1
+        # every node of each live row's depth-d subtree: point k sits k / 2^d of
+        # the way from lo to hi, each the midpoint of two points a level up
+        points = np.empty((top + 1, len(live)))
+        points[0], points[top] = lo[live], hi[live]
+        for half in halves:
+            points[half :: 2 * half] = 0.5 * (points[: -1 : 2 * half] + points[2 * half :: 2 * half])
+        ok = fits(rows[live], points[1:-1])
+        # walk each row down: its interval is points[a] .. points[a + 2 half]
+        a, at = np.zeros(len(live), dtype=int), np.arange(len(live))
+        for half in halves:
+            a += half * ~ok[a + half - 1, at]  # an infeasible midpoint becomes lo
+        low, high, rej = points[a, at], points[a + 1, at], rejected[live] | (a > 0)
         lo[live], hi[live], rejected[live] = low, high, rej
         levels += depth
         mid = 0.5 * (low + high)

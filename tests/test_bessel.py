@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from relayalloc import InvalidArgumentError, k1, k1e, xk1e
+from relayalloc import InvalidArgumentError, bessel, k1, k1e, xk1e
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -135,3 +136,58 @@ def test_array_and_scalar_agree():
     arr = k1(xs)
     for x, v in zip(xs, arr):
         assert v == k1(float(x))
+
+
+def test_xk1e_at_infinity_is_its_limit():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert xk1e(math.inf) == math.inf
+        out = xk1e(np.array([[0.0, 1.0], [math.inf, 3.0]]))
+        assert k1(math.inf) == 0.0 and k1e(math.inf) == 0.0
+        assert xk1e(np.array([math.inf, math.inf])).tolist() == [math.inf, math.inf]
+    assert out[1, 0] == math.inf
+    assert out.reshape(-1)[[0, 1, 3]].tolist() == [1.0, xk1e(1.0), xk1e(3.0)]
+
+
+# Reference: the ascending series in its plainest two-row Horner form, each
+# step broadcasting the (n,) q and a (2, 1) coefficient column over a (2, n)
+# accumulator. The kernel must keep its bits.
+_FROZEN_SERIES_COEF = np.stack([bessel._I1_COEF, bessel._K1_COEF], axis=1)[::-1, :, None]
+
+
+def frozen_k1_series(x):
+    q = 0.25 * x * x
+    acc = np.zeros((2, len(x)))
+    for c in _FROZEN_SERIES_COEF:
+        np.add(np.multiply(acc, q, out=acc), c, out=acc)
+    i1, ks = acc
+    i1 *= 0.5 * x
+    return 1.0 / x + np.log(0.5 * x) * i1 - 0.25 * x * ks
+
+
+def frozen_k1e(x):
+    small = x <= 2.0
+    out = np.empty_like(x)
+    out[small] = frozen_k1_series(x[small]) * np.exp(x[small])
+    out[~small] = bessel._k1e_scaled_large(x[~small]) / np.sqrt(x[~small])
+    return out
+
+
+def _kernel_arguments():
+    rng = np.random.default_rng(2024)
+    seam = [np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 4.0)]
+    for n in (1, 2, 300, 12288):
+        series = 10.0 ** rng.uniform(-9, math.log10(2.0), n)
+        chebyshev = 2.0 + 10.0 ** rng.uniform(-15, 3, n)
+        mixed = np.where(rng.random(n) < 0.5, series, chebyshev)
+        yield from (series, chebyshev, mixed)
+    yield np.array(seam)
+    yield np.repeat(seam, 5)
+
+
+def test_kernel_keeps_the_bits_of_the_frozen_series():
+    for x in _kernel_arguments():
+        want = frozen_k1e(x)
+        assert bessel._k1e(x).tobytes() == want.tobytes()
+        assert xk1e(x).tobytes() == (x * want).tobytes()
+        assert k1e(x).tobytes() == want.tobytes()

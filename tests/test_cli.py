@@ -14,7 +14,7 @@ from relayalloc import (
     normalization_for,
     save_model,
 )
-from relayalloc.cli import main
+from relayalloc.cli import build_parser, main
 from relayalloc.gridsearch import _batch_size
 
 SMALL_SYSTEM = ["--subcarriers", "2", "--active", "1", "--mod-order", "2"]
@@ -286,6 +286,46 @@ def train_args(data, val, model, history, **kw):
             "--batch-size", "2", "--snapshot-every", "2",
             "--model-out", str(model), "--history-out", str(history)]
     return args
+
+
+def test_one_parser_serves_every_run_with_its_own_options(tmp_path, capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    data, val = tmp_path / "train.jsonl", tmp_path / "val.jsonl"
+    assert main(gen_args(data, val, count=6)) == 0
+    model = tmp_path / "model.json"
+    assert main(train_args(data, val, model, tmp_path / "h.csv")) == 0
+
+    def solve(name):
+        out = tmp_path / name
+        assert main(["solve", *SMALL_SYSTEM, "--stats", "1,1,1,1", "--out", str(out)]) == 0
+        return out
+
+    def evaluate(name, *extra):
+        out = tmp_path / name
+        assert main(["eval", "--model", str(model), "--data", str(val), "--out", str(out),
+                     *extra]) == 0
+        return out, json.loads((tmp_path / f"{name}.manifest.json").read_text())["options"]
+
+    first_solve = solve("first.json")
+    first, first_opts = evaluate("first.csv", "--repair", "scale-up")
+    with pytest.raises(SystemExit) as err:
+        main(["eval", "--no-such-flag"])
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["eval", "--help"])
+    assert err.value.code == 0
+    assert "--repair" in capsys.readouterr().out
+    again, again_opts = evaluate("again.csv", "--repair", "scale-up")
+    plain, plain_opts = evaluate("plain.csv")
+    # --stats appends: a second solve sees only its own one subcarrier
+    assert solve("again.json").read_bytes() == first_solve.read_bytes()
+    assert again.read_bytes() == first.read_bytes()
+    assert again_opts == {**first_opts, "out": str(again)}
+    assert plain_opts == {**first_opts, "out": str(plain), "repair": None}
+    # a handler looks its callees up when it runs, so a later patch still takes effect
+    monkeypatch.setattr("relayalloc.cli.run_train", lambda *args, **kwargs: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        main(train_args(data, val, model, tmp_path / "h.csv"))
 
 
 def test_train_refuses_non_finite_adam_settings_before_any_epoch(tmp_path, capsys):

@@ -388,6 +388,20 @@ def test_build_dataset_refuses_the_budget_before_sampling(monkeypatch, sampler, 
     assert str(refused.value).startswith("level 0 needs ")
 
 
+@pytest.mark.parametrize("sampler", ["uniform", "grid"])
+def test_build_dataset_refuses_unknown_search_options_before_sampling(monkeypatch, sampler):
+    def never(*args, **kwargs):
+        raise AssertionError("sampled before the search options were checked")
+
+    monkeypatch.setattr("relayalloc.data.draw_feasible_samples", never)
+    monkeypatch.setattr("relayalloc.data.generate_grid_samples", never)
+    with pytest.raises(InvalidArgumentError, match=r"unknown search option\(s\): grid_0, x;"):
+        build_dataset(SystemConfig(), 3, 0.5, 5.0, 1, 1e-2, sampler=sampler, grid_levels=3,
+                      solver_kwargs={"grid_0": 5, "x": 1, "grid0": 5})
+    with pytest.raises(InvalidArgumentError, match="grid_0"):
+        label_dataset(np.full((1, 4, 1), 1.0), CFG, 1e-2, solver_kwargs={"grid_0": 5})
+
+
 def test_build_dataset_takes_a_budget_it_fits_exactly():
     dataset = build_dataset(CFG, 2, 0.5, 5.0, 1, 1e-2,
                             solver_kwargs={"grid0": 8, "max_levels": 0, "max_evaluations": 8**2})
