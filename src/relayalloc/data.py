@@ -21,12 +21,12 @@ import collections
 import itertools
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from ._files import atomic_open
+from ._files import atomic_open, numbers, read_json, typed
 from .errors import (
     _FLOAT_MAX,
     InfeasibleProblemError,
@@ -308,151 +308,94 @@ def save_dataset(dataset: Dataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> Dataset:
-    """Parse and re-validate; raises SchemaError / InvariantViolationError."""
+    """Parse and re-validate; raises SchemaError / InvariantViolationError.
+
+    Records are read up to the first structural fault (not JSON, a wrong
+    type or shape); ``_check_records`` checks the records before it, and
+    a fault it finds, on an earlier line, is raised in its place."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise SchemaError(f"{path}: empty file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: header is not valid JSON: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
-        raise SchemaError(
-            f"{path}: expected format {DATASET_FORMAT!r}, got {header.get('format')!r}"
-        )
-    try:
-        config = SystemConfig(**_typed(SystemConfig, header["config"]))
-        gen = GenerationSpec(**_typed(GenerationSpec, header["generation"]))
-        check_finite("range_lo", gen.range_lo, positive=False)
-        check_finite("range_hi", gen.range_hi)
-    except _MALFORMED as exc:
-        raise SchemaError(f"{path}: malformed header: {exc}") from exc
-
+    config, gen = read_json(lines[0], path, "header", _read_header, DATASET_FORMAT)
     body = [ln for ln in lines[1:] if ln.strip()]
     if not body:
         raise InvariantViolationError(f"{path}: no records")
     if len(body) != gen.count:
-        raise InvariantViolationError(
-            f"{path}: header says {gen.count} records, file has {len(body)}"
-        )
-    records = []
-    for lineno, ln in enumerate(body, start=2):
-        try:
-            records.append(_read_record(ln, config, gen, path, lineno))
-        except Exception:
-            # a fault on an earlier line wins
-            _check_outages(Dataset(config=config, gen=gen, records=tuple(records)), path)
-            raise
+        raise InvariantViolationError(f"{path}: header says {gen.count} records, "
+                                      f"file has {len(body)}")
+    records, fault = [], None
+    try:
+        for lineno, ln in enumerate(body, start=2):
+            records.append(_read_record(ln, config, f"{path}:{lineno}"))
+    except (SchemaError, InvariantViolationError) as exc:
+        fault = exc
     dataset = Dataset(config=config, gen=gen, records=tuple(records))
-    _check_outages(dataset, path)
+    _check_records(dataset, path)
+    if fault is not None:
+        raise fault
     return dataset
 
 
-_JSON_TYPES = {"int": {int}, "float": {int, float}, "str": {str}, "None": {type(None)}}
-# bad JSON fields raise these; OverflowError: an integer too large for a float64
-_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+def _read_header(doc: dict) -> tuple[SystemConfig, GenerationSpec]:
+    config = SystemConfig(**typed(SystemConfig, doc["config"]))
+    gen = GenerationSpec(**typed(GenerationSpec, doc["generation"]))
+    check_finite("range_lo", gen.range_lo, positive=False)
+    check_finite("range_hi", gen.range_hi)
+    return config, gen
 
 
-def _typed(cls, doc: dict) -> dict:
-    """``doc``, if each value's JSON type matches the annotation of the
-    ``cls`` field it names (``int | None`` takes null, no field takes a
-    boolean); TypeError otherwise."""
-    if not isinstance(doc, dict):
-        raise TypeError(f"expected a JSON object, got {doc!r}")
-    for f in fields(cls):
-        kinds = {t for k in f.type.split(" | ") for t in _JSON_TYPES.get(k, ())}
-        if f.name in doc and type(doc[f.name]) not in kinds:
-            raise TypeError(f"{f.name} must be {f.type}, got {doc[f.name]!r}")
-    return doc
-
-
-def _numbers(values, ndim: int, kind: str = "float") -> np.ndarray:
-    """``values``, JSON lists nested ``ndim`` deep, as an array, if every
-    entry has the JSON type ``kind`` under the rule of ``_typed``;
-    TypeError otherwise (strings and booleans are refused, not coerced)."""
-    entries = [values]
-    for _ in range(ndim):
-        if any(type(x) is not list for x in entries):
-            raise TypeError(f"expected lists nested {ndim} deep")
-        entries = list(itertools.chain.from_iterable(entries))
-    wrong = set(map(type, entries)) - _JSON_TYPES[kind]
-    if wrong:
-        raise TypeError(f"expected {kind} entries, got {', '.join(t.__name__ for t in wrong)}")
-    return np.array(values, dtype=float if kind == "float" else int)
-
-
-def _read_record(
-    ln: str, config: SystemConfig, gen: GenerationSpec, path: str, lineno: int
-) -> DatasetRecord:
-    """Parse one record and run the checks that precede the outage re-check."""
-    try:
-        doc = json.loads(ln)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-    try:
-        sample = _numbers(doc["v"], 2)
-        label = PowerAllocation(pt=tuple(_numbers(doc["pt"], 1).tolist()),
-                                pr=tuple(_numbers(doc["pr"], 1).tolist()))
-        scalars = _typed(DatasetRecord, {
-            name: doc[name] for name in ("total_power", "achieved_outage", "evaluations")
-        })
-        rec = DatasetRecord(
-            sample=sample,
-            label=label,
-            total_power=float(scalars["total_power"]),
-            achieved_outage=float(scalars["achieved_outage"]),
-            evaluations=scalars["evaluations"],
-        )
-    except _MALFORMED as exc:
-        raise SchemaError(f"{path}:{lineno}: malformed record: {exc}") from exc
+def _read_record(ln: str, config: SystemConfig, where: str) -> DatasetRecord:
+    """Parse one record and check its JSON types and shapes."""
+    rec = read_json(ln, where, "record", _record)
     if rec.sample.shape != (4, config.cols):
-        raise InvariantViolationError(
-            f"{path}:{lineno}: sample shape {rec.sample.shape} != (4, {config.cols})"
-        )
-    if (rec.sample < gen.range_lo).any() or (rec.sample > gen.range_hi).any():
-        raise InvariantViolationError(
-            f"{path}:{lineno}: sample entries escape [{gen.range_lo}, {gen.range_hi}]"
-        )
+        raise InvariantViolationError(f"{where}: sample shape {rec.sample.shape} != (4, {config.cols})")
     if len(rec.label.pt) != config.cols:
-        raise InvariantViolationError(
-            f"{path}:{lineno}: label length {len(rec.label.pt)} != {config.cols}"
-        )
-    if max(rec.label.pt) > config.pt_max or max(rec.label.pr) > config.pr_max:
-        raise InvariantViolationError(f"{path}:{lineno}: label exceeds the power caps")
+        raise InvariantViolationError(f"{where}: label length {len(rec.label.pt)} != {config.cols}")
     return rec
 
 
-def _check_outages(dataset: Dataset, path: str) -> None:
-    """Statistics validity, outage re-check, outage cap and label total, in
-    record order, with one outage call for all records."""
-    config, records = dataset.config, dataset.records
+def _record(doc: dict) -> DatasetRecord:
+    sample = numbers(doc["v"], 2)
+    label = PowerAllocation(pt=tuple(numbers(doc["pt"], 1).tolist()),
+                            pr=tuple(numbers(doc["pr"], 1).tolist()))
+    names = ("total_power", "achieved_outage", "evaluations")
+    scalars = typed(DatasetRecord, {name: doc[name] for name in names})
+    return DatasetRecord(sample, label, float(scalars["total_power"]),
+                         float(scalars["achieved_outage"]), scalars["evaluations"])
+
+
+def _check_records(dataset: Dataset, path: str) -> None:
+    """Every record invariant past types and shapes, in record order, in one
+    pass over the column views with one outage call: samples inside the
+    header's range, labels within the caps, statistics finite and > 0, then
+    the outage re-check, the outage cap and the label total."""
+    config, gen, records = dataset.config, dataset.gen, dataset.records
     samples, labels = dataset.samples, dataset.labels
+    escapes = ((samples < gen.range_lo) | (samples > gen.range_hi)).any(axis=(1, 2))
+    over_caps = (labels > np.repeat([config.pt_max, config.pr_max], config.cols)).any(axis=1)
     ok = np.isfinite(samples) & (samples > 0)
-    bad_stats = ~ok.all(axis=(1, 2))
-    valid = int(np.argmax(bad_stats)) if bad_stats.any() else len(records)
-    outages = _outage(samples[:valid], labels[:valid], config)
-    label_totals = _row_totals(labels[:valid])
+    faults = escapes | over_caps | ~ok.all(axis=(1, 2))
+    first = int(np.argmax(faults)) if faults.any() else len(records)
+    outages = _outage(samples[:first], labels[:first], config).tolist()
     for lineno, rec, outage, total in zip(
-        itertools.count(2), records, outages.tolist(), label_totals.tolist()
+        itertools.count(2), records, outages, _row_totals(labels[:first]).tolist()
     ):
         if not abs(outage - rec.achieved_outage) <= _OUTAGE_RECHECK_TOL:  # NaN fails too
-            raise InvariantViolationError(
-                f"{path}:{lineno}: stored achieved_outage {rec.achieved_outage} "
-                f"disagrees with recomputation {outage}"
-            )
-        if outage > config.psi_th:
-            raise InvariantViolationError(
-                f"{path}:{lineno}: label violates the outage cap "
-                f"({outage} > {config.psi_th})"
-            )
-        if not abs(total - rec.total_power) <= 1e-9 * max(1.0, abs(total)):
-            raise InvariantViolationError(
-                f"{path}:{lineno}: stored total_power {rec.total_power} "
-                f"disagrees with the label sum {total}"
-            )
-    if valid < len(records):
-        bad = samples[valid][~ok[valid]][0]
-        raise InvariantViolationError(
-            f"{path}:{valid + 2}: channel statistics must be finite and > 0, got {bad}"
-        )
+            fault = (f"stored achieved_outage {rec.achieved_outage} "
+                     f"disagrees with recomputation {outage}")
+        elif outage > config.psi_th:
+            fault = f"label violates the outage cap ({outage} > {config.psi_th})"
+        elif not abs(total - rec.total_power) <= 1e-9 * max(1.0, abs(total)):
+            fault = f"stored total_power {rec.total_power} disagrees with the label sum {total}"
+        else:
+            continue
+        raise InvariantViolationError(f"{path}:{lineno}: {fault}")
+    if first < len(records):
+        if escapes[first]:
+            fault = f"sample entries escape [{gen.range_lo}, {gen.range_hi}]"
+        elif over_caps[first]:
+            fault = "label exceeds the power caps"
+        else:
+            fault = f"channel statistics must be finite and > 0, got {samples[first][~ok[first]][0]}"
+        raise InvariantViolationError(f"{path}:{first + 2}: {fault}")

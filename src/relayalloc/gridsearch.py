@@ -214,11 +214,13 @@ def _stats_matrix(stats, config: SystemConfig) -> np.ndarray:
     return np.array([[st.mu1, st.mu2, st.eta1, st.eta2] for st in stats], dtype=float).T
 
 
-def _patterns(config: SystemConfig):
-    """0-based active subcarriers of each pattern the outage averages over."""
+@functools.lru_cache(maxsize=64)
+def _patterns(config: SystemConfig) -> tuple[tuple[int, ...], ...]:
+    """0-based active subcarriers of each pattern the outage averages over,
+    built once per configuration."""
     if config.outage_mode == "single-sap":
-        return (range(config.t),)
-    return [[i - 1 for i in sap.indices] for sap in enumerate_saps(config.n, config.t).saps]
+        return (tuple(range(config.t)),)
+    return tuple(tuple(i - 1 for i in sap) for sap in enumerate_saps(config.n, config.t).saps)
 
 
 def _outage(samples, vec, config: SystemConfig) -> np.ndarray:

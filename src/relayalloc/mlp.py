@@ -51,8 +51,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._files import atomic_open
-from .data import _MALFORMED, _numbers, _typed
+from ._files import atomic_open, numbers, read_json, typed
 from .errors import InvalidArgumentError, SchemaError, check_finite
 from .gridsearch import PowerAllocation
 
@@ -266,7 +265,8 @@ def _forward_into(params: MlpParams, x, ws: _Workspace, invariant=False) -> _Wor
 def _loss_into(ws: _Workspace, targets: np.ndarray) -> float:
     """Loss of the last forward pass; leaves out - targets in ``ws.deltas[-1]``."""
     diff = np.subtract(ws.acts[-1], targets, out=ws.deltas[-1])
-    return float(np.sum(np.multiply(diff, diff, out=ws.factors[-1])) / len(targets))
+    squares = np.multiply(diff, diff, out=ws.factors[-1])
+    return float(np.add.reduce(squares, axis=None) / len(targets))  # np.sum without its wrapper
 
 
 def _backprop_into(params: MlpParams, x, targets, ws: _Workspace, grads: Gradients):
@@ -281,7 +281,7 @@ def _backprop_into(params: MlpParams, x, targets, ws: _Workspace, grads: Gradien
         np.multiply(np.multiply(delta, a, out=delta), np.subtract(1.0, a, out=ws.factors[layer]),
                     out=delta)
         np.matmul(delta.T, acts[layer], out=grads.d_weights[layer])
-        np.sum(delta, axis=0, out=grads.d_biases[layer])
+        np.add.reduce(delta, axis=0, out=grads.d_biases[layer])
         if layer > 0:
             delta = np.matmul(delta, params.weights[layer], out=ws.deltas[layer - 1])
     return grads
@@ -422,32 +422,25 @@ def save_model(params: MlpParams, normalization: NormalizationSpec, path: str) -
 
 def load_model(path: str) -> tuple[MlpParams, NormalizationSpec]:
     """Bit-exact inverse of save_model; refuses unknown formats and fields
-    of the wrong JSON type (the dataset loader's rule: no strings or
+    of the wrong JSON type (the strict rule of ``_files``: no strings or
     booleans for numbers, integers for ``layer_dims``, ``use_bias`` true)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
-        raise SchemaError(
-            f"{path}: expected format {MODEL_FORMAT!r}, got {doc.get('format')!r}"
-        )
-    try:
-        dims = _validate_dims(_numbers(doc["layer_dims"], 1, "int").tolist())
-        if doc["use_bias"] is not True:
-            raise TypeError(f"use_bias must be true, got {doc['use_bias']!r}")
-        norm = NormalizationSpec(**_typed(NormalizationSpec, doc["normalization"]))
-        weights = [_numbers(w, 1) for w in doc["weights"]]
-        biases = [_numbers(b, 1) for b in doc["biases"]]
-        shapes = list(zip(dims[1:], dims[:-1]))
-        sizes = [[a.size for a in arrays] for arrays in (weights, biases)]
-        if sizes != [[i * j for i, j in shapes], list(dims[1:])]:
-            raise SchemaError(f"{path}: weight and bias sizes {sizes} do not fit {dims}")
-        weights = [w.reshape(shape) for w, shape in zip(weights, shapes)]
-    except _MALFORMED as exc:
-        raise SchemaError(f"{path}: missing or malformed field: {exc}") from exc
-    params = MlpParams(layer_dims=dims, weights=weights, biases=biases)
+    with open(path, "r", encoding="utf-8") as fh:
+        params, norm = read_json(fh.read(), path, "field", _read_model, MODEL_FORMAT)
     if not np.isfinite(params.flat).all():
         raise SchemaError(f"{path}: non-finite parameter values")
     return params, norm
+
+
+def _read_model(doc: dict) -> tuple[MlpParams, NormalizationSpec]:
+    dims = _validate_dims(numbers(doc["layer_dims"], 1, "int").tolist())
+    if doc["use_bias"] is not True:
+        raise TypeError(f"use_bias must be true, got {doc['use_bias']!r}")
+    norm = NormalizationSpec(**typed(NormalizationSpec, doc["normalization"]))
+    weights = [numbers(w, 1) for w in doc["weights"]]
+    biases = [numbers(b, 1) for b in doc["biases"]]
+    shapes = list(zip(dims[1:], dims[:-1]))
+    sizes = [[a.size for a in arrays] for arrays in (weights, biases)]
+    if sizes != [[i * j for i, j in shapes], list(dims[1:])]:
+        raise ValueError(f"weight and bias sizes {sizes} do not fit {dims}")
+    weights = [w.reshape(shape) for w, shape in zip(weights, shapes)]
+    return MlpParams(layer_dims=dims, weights=weights, biases=biases), norm

@@ -149,8 +149,9 @@ def _phi(mu1, mu2, eta1, eta2, pt, pr, s: float) -> np.ndarray:
     if not every:
         on = np.greater(pt, 0.0) & np.greater(pr, 0.0)
         pt, pr = np.where(on, pt, 1.0), np.where(on, pr, 1.0)
-    b = s * eta1 / (mu1 * pt)
-    a = s * eta2 / (mu1 * mu2 * pt * pr)
+    with np.errstate(divide="ignore", over="ignore"):  # tiny powers: A is inf, Phi is 1
+        b = s * eta1 / (mu1 * pt)
+        a = s * eta2 / (mu1 * mu2 * pt * pr)
     z = 2.0 * np.sqrt(a)
     flat = z.reshape(-1)
     greatest = np.maximum.reduce(flat, initial=0.0)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relayalloc.data
 from relayalloc import (
     Dataset,
     DatasetRecord,
@@ -226,6 +227,7 @@ def corrupt_and_expect(tmp_path, mutate, exc):
 
 def test_load_rejects_header_garbage(tmp_path):
     corrupt_and_expect(tmp_path, lambda ls: ["{ nope"] + ls[1:], SchemaError)
+    corrupt_and_expect(tmp_path, lambda ls: ["[1, 2]"] + ls[1:], SchemaError)  # not an object
 
 
 def test_load_rejects_unknown_format(tmp_path):
@@ -246,6 +248,7 @@ def test_load_rejects_missing_records(tmp_path):
 
 def test_load_rejects_non_json_record(tmp_path):
     corrupt_and_expect(tmp_path, lambda ls: ls[:1] + ["broken"] + ls[2:], SchemaError)
+    corrupt_and_expect(tmp_path, lambda ls: ls[:1] + ["7"] + ls[2:], SchemaError)  # not an object
 
 
 def test_load_rejects_tampered_outage(tmp_path):
@@ -578,3 +581,35 @@ def test_load_rejects_non_finite_statistics_before_later_faults(tmp_path):
     zero.write_text("\n".join([json.dumps(header), json.dumps(record), *lines[2:]]) + "\n")
     with pytest.raises(InvariantViolationError, match=":2: channel statistics must be finite"):
         load_dataset(str(zero))
+
+
+@pytest.mark.parametrize("edits", [{}, {5: ("pt", [-1.0])}, {5: ("v", [[1.0, 1.0]] * 4)}],
+                         ids=["clean", "malformed-last", "wrong-shape-last"])
+def test_load_makes_one_outage_call(tmp_path, monkeypatch, edits):
+    calls, outage = [], relayalloc.data._outage
+
+    def counted(samples, *args):
+        calls.append(len(samples))
+        return outage(samples, *args)
+
+    path = corrupt_records(tmp_path, edits)
+    monkeypatch.setattr("relayalloc.data._outage", counted)
+    if edits:
+        with pytest.raises((SchemaError, InvariantViolationError), match=":5: "):
+            load_dataset(path)
+    else:
+        load_dataset(path)
+    assert calls == [3 if edits else 4]  # the records before the structural fault
+
+
+def test_load_reports_a_records_shape_before_its_range(tmp_path):
+    # one record, two faults: a label of the wrong length and a sample
+    # outside the header's range; types and shapes are checked first
+    lines = open(corrupt_records(tmp_path, {})).read().splitlines()
+    record = json.loads(lines[2])
+    record["v"][0][0], record["pt"], record["pr"] = 99.0, [1.0, 1.0], [1.0, 1.0]
+    bad = tmp_path / "two_faults.jsonl"
+    bad.write_text("\n".join([*lines[:2], json.dumps(record), *lines[3:]]) + "\n")
+    with pytest.raises(InvariantViolationError, match=":3: label length 2 != 1"):
+        load_dataset(str(bad))
+

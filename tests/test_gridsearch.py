@@ -19,7 +19,7 @@ from relayalloc import (
     solve,
     stats_from_sample,
 )
-from relayalloc.gridsearch import _outage
+from relayalloc.gridsearch import _outage, _patterns
 
 UNIT = SubcarrierStats(mu1=1.0, mu2=1.0, eta1=1.0, eta2=1.0)
 
@@ -282,3 +282,11 @@ def test_outage_kernel_broadcasts_bitwise_like_per_row_calls(config):
     assert _outage(samples, vecs[5], config).tolist() == expect[:, 5].tolist()
     # every matrix under every vector
     assert _outage(samples[:, None], vecs, config).tolist() == expect.tolist()
+
+
+def test_patterns_are_built_once_per_configuration():
+    averaged = SystemConfig(n=4, t=2, outage_mode="sap-averaged")
+    patterns = _patterns(averaged)
+    assert patterns == ((0, 1), (0, 2), (0, 3), (1, 2))
+    assert _patterns(SystemConfig(n=4, t=2, outage_mode="sap-averaged")) is patterns
+    assert _patterns(SystemConfig(n=4, t=2)) == ((0, 1),)

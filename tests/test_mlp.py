@@ -1,3 +1,5 @@
+import ast
+import importlib.util
 import math
 import re
 from dataclasses import replace
@@ -5,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import relayalloc.mlp
 import relayalloc.training
 from relayalloc import (
     Batch,
@@ -517,6 +520,10 @@ def test_model_loader_rejects_malformed_files(tmp_path):
     with pytest.raises(SchemaError):
         load_model(str(bad))
 
+    bad.write_text("[1, 2]")  # JSON, but not an object
+    with pytest.raises(SchemaError):
+        load_model(str(bad))
+
     import json
 
     doc = json.loads(good.read_text())
@@ -585,3 +592,20 @@ def test_model_loader_refuses_wrong_typed_fields(tmp_path, field, value):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError):
         load_model(str(path))
+
+
+
+def test_model_module_imports_nothing_from_the_dataset_module():
+    # the strict JSON reading rule lives in _files, which both loaders import
+    tree = ast.parse(open(relayalloc.mlp.__file__, encoding="utf-8").read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = importlib.util.resolve_name("." * node.level + (node.module or ""),
+                                               "relayalloc")
+            imported |= {base} | {f"{base}.{alias.name}" for alias in node.names}
+    assert "relayalloc._files" in imported
+    assert "relayalloc.data" not in imported
+

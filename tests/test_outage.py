@@ -215,6 +215,17 @@ def test_powers_too_small_for_a_finite_z_mean_certain_outage():
                            subcarrier_outage(UNIT, SubcarrierPower(3.0, 3.0), 1.0))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_powers_too_small_for_a_finite_z_raise_no_warning():
+    # A overflows (divide by zero, overflow) on the way to its limit Phi = 1
+    for pt, pr in ((1e-200, 1e-200), (1e-320, 1.0)):
+        assert subcarrier_outage(UNIT, SubcarrierPower(pt, pr), 1.0) == 1.0
+        assert all_active_outage([UNIT, UNIT], [SubcarrierPower(pt, pr)] * 2, 1.0) == 1.0
+    grid = outage_grid(UNIT, [1e-200, 1e-320, 10.0, 0.0], [1e-200, 1.0, 10.0, 3.0], 1.0)
+    ordinary = subcarrier_outage(UNIT, SubcarrierPower(10.0, 10.0), 1.0)
+    assert grid.tolist() == [1.0, 1.0, ordinary, 1.0]
+
+
 # Hypothesis properties. The block outage is monotone in every power in
 # exact arithmetic; the computed value may rise by rounding alone, which
 # stays at a few units in the last place of a probability.
