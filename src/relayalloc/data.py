@@ -12,13 +12,15 @@ nothing is coerced), reporting the first failing line. Feasibility filters
 and label re-checks take one batched outage call per dataset.
 
 A ``Dataset`` stores its records and builds, once, the read-only column
-views that the loader's checks, training and evaluation read instead.
+views that the loader's checks, training and evaluation read instead. The
+loader checks a clean file a column at a time and hands the columns it
+read to the ``Dataset``; a faulty file is read again a line at a time, so
+that the first faulty line is named.
 """
 
 from __future__ import annotations
 
 import collections
-import itertools
 import json
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -26,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._files import atomic_open, numbers, read_json, typed
+from ._files import MALFORMED, atomic_open, numbers, read_json, typed
 from .errors import (
     _FLOAT_MAX,
     InfeasibleProblemError,
@@ -95,7 +97,8 @@ class Dataset:
 
     @cached_property
     def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The one place the records become arrays."""
+        """The one place the records become arrays (``load_dataset`` fills
+        it with the arrays it read the records from)."""
         n, cols = len(self.records), self.config.cols
         columns = (
             np.array([r.sample for r in self.records], float).reshape(n, 4, cols),
@@ -310,28 +313,31 @@ def save_dataset(dataset: Dataset, path: str) -> None:
 def load_dataset(path: str) -> Dataset:
     """Parse and re-validate; raises SchemaError / InvariantViolationError.
 
-    Records are read up to the first structural fault (not JSON, a wrong
-    type or shape); ``_check_records`` checks the records before it, and
-    a fault it finds, on an earlier line, is raised in its place."""
+    A clean file is read a column at a time (``_read_columns``). On any
+    fault the records are read again a line at a time (``_read_lines``),
+    up to the first structural fault (not JSON, a wrong type or shape),
+    which that reader names. ``_check_records`` checks the records read; a
+    fault it finds, on an earlier line, is raised in place of the
+    structural one. Faults name their line in the file, blank lines
+    counted."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise SchemaError(f"{path}: empty file")
     config, gen = read_json(lines[0], path, "header", _read_header, DATASET_FORMAT)
-    body = [ln for ln in lines[1:] if ln.strip()]
-    if not body:
+    linenos = [i for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
+    if not linenos:
         raise InvariantViolationError(f"{path}: no records")
-    if len(body) != gen.count:
+    if len(linenos) != gen.count:
         raise InvariantViolationError(f"{path}: header says {gen.count} records, "
-                                      f"file has {len(body)}")
-    records, fault = [], None
+                                      f"file has {len(linenos)}")
+    body = [lines[i - 1] for i in linenos]
     try:
-        for lineno, ln in enumerate(body, start=2):
-            records.append(_read_record(ln, config, f"{path}:{lineno}"))
-    except (SchemaError, InvariantViolationError) as exc:
-        fault = exc
-    dataset = Dataset(config=config, gen=gen, records=tuple(records))
-    _check_records(dataset, path)
+        dataset, fault = _read_columns(body, config, gen), None
+    except MALFORMED:
+        records, fault = _read_lines(body, linenos, config, path)
+        dataset = Dataset(config=config, gen=gen, records=records)
+    _check_records(dataset, path, linenos)
     if fault is not None:
         raise fault
     return dataset
@@ -343,6 +349,50 @@ def _read_header(doc: dict) -> tuple[SystemConfig, GenerationSpec]:
     check_finite("range_lo", gen.range_lo, positive=False)
     check_finite("range_hi", gen.range_hi)
     return config, gen
+
+
+def _read_columns(body: list[str], config: SystemConfig, gen: GenerationSpec) -> Dataset:
+    """The records that the lines ``body`` hold, with one array per field as
+    the column views. Each line is parsed alone, as ``_read_lines`` does: a
+    parse of the lines joined into one JSON array would also take a record
+    broken over two lines. Types and shapes are checked a column at a time
+    by the rule of ``_files``; a fault raises one of ``MALFORMED``."""
+    docs = list(map(json.loads, body))
+    if any(type(doc) is not dict for doc in docs):
+        raise TypeError("a record is not a JSON object")
+    n, cols = len(docs), config.cols
+    samples = numbers([doc["v"] for doc in docs], 3)
+    pt, pr = (numbers([doc[key] for doc in docs], 2) for key in ("pt", "pr"))
+    if samples.shape != (n, 4, cols) or pt.shape != (n, cols) or pr.shape != (n, cols):
+        raise ValueError("a record has the wrong shape")
+    labels = np.concatenate((pt, pr), axis=1)
+    totals = numbers([doc["total_power"] for doc in docs], 1)
+    outages = numbers([doc["achieved_outage"] for doc in docs], 1).tolist()
+    evaluations = numbers([doc["evaluations"] for doc in docs], 1, "int").tolist()
+    for column in (samples, labels, totals):
+        column.flags.writeable = False  # before the records take views of them
+    records = tuple(
+        DatasetRecord(sample, PowerAllocation(pt=tuple(row[:cols]), pr=tuple(row[cols:])),
+                      total, outage, evals)
+        for sample, row, total, outage, evals
+        in zip(samples, labels.tolist(), totals.tolist(), outages, evaluations)
+    )
+    dataset = Dataset(config=config, gen=gen, records=records)
+    dataset.__dict__["_columns"] = (samples, labels, totals)  # fills the cached property
+    return dataset
+
+
+def _read_lines(body: list[str], linenos: list[int], config: SystemConfig,
+                path: str) -> tuple[tuple[DatasetRecord, ...], Exception | None]:
+    """The records before the first structural fault, read a line at a
+    time, and that fault (None without one)."""
+    records = []
+    for lineno, ln in zip(linenos, body):
+        try:
+            records.append(_read_record(ln, config, f"{path}:{lineno}"))
+        except (SchemaError, InvariantViolationError) as exc:
+            return tuple(records), exc
+    return tuple(records), None
 
 
 def _read_record(ln: str, config: SystemConfig, where: str) -> DatasetRecord:
@@ -365,11 +415,12 @@ def _record(doc: dict) -> DatasetRecord:
                          float(scalars["achieved_outage"]), scalars["evaluations"])
 
 
-def _check_records(dataset: Dataset, path: str) -> None:
+def _check_records(dataset: Dataset, path: str, linenos: list[int]) -> None:
     """Every record invariant past types and shapes, in record order, in one
     pass over the column views with one outage call: samples inside the
     header's range, labels within the caps, statistics finite and > 0, then
-    the outage re-check, the outage cap and the label total."""
+    the outage re-check, the outage cap and the label total. Record i is
+    on line ``linenos[i]`` of the file."""
     config, gen, records = dataset.config, dataset.gen, dataset.records
     samples, labels = dataset.samples, dataset.labels
     escapes = ((samples < gen.range_lo) | (samples > gen.range_hi)).any(axis=(1, 2))
@@ -379,7 +430,7 @@ def _check_records(dataset: Dataset, path: str) -> None:
     first = int(np.argmax(faults)) if faults.any() else len(records)
     outages = _outage(samples[:first], labels[:first], config).tolist()
     for lineno, rec, outage, total in zip(
-        itertools.count(2), records, outages, _row_totals(labels[:first]).tolist()
+        linenos, records, outages, _row_totals(labels[:first]).tolist()
     ):
         if not abs(outage - rec.achieved_outage) <= _OUTAGE_RECHECK_TOL:  # NaN fails too
             fault = (f"stored achieved_outage {rec.achieved_outage} "
@@ -398,4 +449,4 @@ def _check_records(dataset: Dataset, path: str) -> None:
             fault = "label exceeds the power caps"
         else:
             fault = f"channel statistics must be finite and > 0, got {samples[first][~ok[first]][0]}"
-        raise InvariantViolationError(f"{path}:{first + 2}: {fault}")
+        raise InvariantViolationError(f"{path}:{linenos[first]}: {fault}")

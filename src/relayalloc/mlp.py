@@ -29,8 +29,9 @@ Loss convention: for a batch of D samples,
 Parameter layout: one contiguous vector per network, every weight matrix
 (row-major) then every bias vector, in layer order. ``MlpParams.flat`` is
 that vector and its ``weights[r]``/``biases[r]`` are views of it;
-``Gradients.flat`` and Adam's ``m``/``v`` share the layout, so Adam is a
-few whole-vector operations, with gradient g and step counter t:
+``Gradients.flat``, Adam's ``m``/``v`` and a model file's ``params``
+share the layout, so Adam is a few whole-vector operations, with
+gradient g and step counter t:
 
     m <- beta1 m + (1 - beta1) g
     v <- beta2 v + (1 - beta2) g*g
@@ -44,6 +45,7 @@ rho_r * rho_{r+1} multiply-accumulates plus rho_{r+1} activations;
 
 from __future__ import annotations
 
+import base64
 import itertools
 import json
 from dataclasses import asdict, dataclass, field
@@ -59,7 +61,7 @@ _SIGMOID_SAT = 40.0  # |z| beyond which the sigmoid is saturated in float64
 # 0-d operands: a ufunc takes them faster than Python floats, with the same bits
 _ONE, _MINUS_ONE = np.array(1.0), np.array(-1.0)
 
-MODEL_FORMAT = "relay-mlp-v1"
+MODEL_FORMAT = "relay-mlp-v2"
 
 
 def _pack(weights, biases, flat=None) -> tuple[np.ndarray, list, list]:
@@ -406,24 +408,24 @@ def decode_output(raw: np.ndarray, pt_max: float, pr_max: float) -> PowerAllocat
 
 
 def save_model(params: MlpParams, normalization: NormalizationSpec, path: str) -> None:
-    """Versioned JSON with row-major float lists; written atomically.
-    ``use_bias`` is always true, kept so that model files stay unchanged."""
+    """Versioned JSON; ``params`` is the parameter vector ``flat`` as one
+    base64 string of little-endian float64. Written atomically."""
     doc = {
         "format": MODEL_FORMAT,
         "layer_dims": list(params.layer_dims),
-        "use_bias": True,
         "normalization": asdict(normalization),
-        "weights": [w.reshape(-1).tolist() for w in params.weights],
-        "biases": [b.tolist() for b in params.biases],
+        "params": base64.b64encode(params.flat.astype("<f8").tobytes()).decode("ascii"),
     }
     with atomic_open(path) as fh:
         fh.write(json.dumps(doc) + "\n")  # the C encoder; json.dump takes the Python one
 
 
 def load_model(path: str) -> tuple[MlpParams, NormalizationSpec]:
-    """Bit-exact inverse of save_model; refuses unknown formats and fields
-    of the wrong JSON type (the strict rule of ``_files``: no strings or
-    booleans for numbers, integers for ``layer_dims``, ``use_bias`` true)."""
+    """Bit-exact inverse of save_model; refuses unknown formats, fields of
+    the wrong JSON type (the strict rule of ``_files``: no strings or
+    booleans for numbers, integers for ``layer_dims``), ``params`` that is
+    not base64 of exactly the float64 vector ``layer_dims`` implies, and
+    non-finite parameters."""
     with open(path, "r", encoding="utf-8") as fh:
         params, norm = read_json(fh.read(), path, "field", _read_model, MODEL_FORMAT)
     if not np.isfinite(params.flat).all():
@@ -433,14 +435,14 @@ def load_model(path: str) -> tuple[MlpParams, NormalizationSpec]:
 
 def _read_model(doc: dict) -> tuple[MlpParams, NormalizationSpec]:
     dims = _validate_dims(numbers(doc["layer_dims"], 1, "int").tolist())
-    if doc["use_bias"] is not True:
-        raise TypeError(f"use_bias must be true, got {doc['use_bias']!r}")
     norm = NormalizationSpec(**typed(NormalizationSpec, doc["normalization"]))
-    weights = [numbers(w, 1) for w in doc["weights"]]
-    biases = [numbers(b, 1) for b in doc["biases"]]
+    if type(doc["params"]) is not str:
+        raise TypeError(f"params must be a base64 string, got {type(doc['params']).__name__}")
+    raw = base64.b64decode(doc["params"], validate=True)  # binascii.Error is a ValueError
     shapes = list(zip(dims[1:], dims[:-1]))
-    sizes = [[a.size for a in arrays] for arrays in (weights, biases)]
-    if sizes != [[i * j for i, j in shapes], list(dims[1:])]:
-        raise ValueError(f"weight and bias sizes {sizes} do not fit {dims}")
-    weights = [w.reshape(shape) for w, shape in zip(weights, shapes)]
-    return MlpParams(layer_dims=dims, weights=weights, biases=biases), norm
+    sizes = [i * j for i, j in shapes] + list(dims[1:])
+    if len(raw) != 8 * sum(sizes):
+        raise ValueError(f"params hold {len(raw)} bytes, {dims} need {8 * sum(sizes)}")
+    parts = np.split(np.frombuffer(raw, dtype="<f8"), list(itertools.accumulate(sizes))[:-1])
+    weights = [w.reshape(shape) for w, shape in zip(parts, shapes)]
+    return MlpParams(layer_dims=dims, weights=weights, biases=parts[len(shapes):]), norm

@@ -1,8 +1,10 @@
+import base64
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import relayalloc
@@ -229,10 +231,61 @@ def test_missing_file_exits_4(tmp_path, capsys):
     assert main(["eval", "--model", str(model), "--data", str(bad)]) == 4
     assert capsys.readouterr().err.count(": malformed header: t must be int") == 2
     doc = json.loads(model.read_text())
-    doc["use_bias"] = "false"  # a model field of the wrong JSON type
+    doc["params"] = False  # a model field of the wrong JSON type
     model.write_text(json.dumps(doc))
     assert main(["eval", "--model", str(model), "--data", str(good)]) == 4
-    assert "use_bias must be true" in capsys.readouterr().err
+    assert "params must be a base64 string, got bool" in capsys.readouterr().err
+
+
+def pack(vec) -> str:
+    """A parameter vector as a model file's ``params`` string."""
+    return base64.b64encode(np.asarray(vec, dtype="<f8").tobytes()).decode("ascii")
+
+
+def v1_doc(doc: dict, params) -> dict:
+    """The same model in the retired relay-mlp-v1 layout."""
+    return {"format": "relay-mlp-v1", "layer_dims": doc["layer_dims"], "use_bias": True,
+            "normalization": doc["normalization"],
+            "weights": [w.reshape(-1).tolist() for w in params.weights],
+            "biases": [b.tolist() for b in params.biases]}
+
+
+@pytest.fixture(scope="module")
+def small_data(tmp_path_factory):
+    data = tmp_path_factory.mktemp("model_faults") / "data.jsonl"
+    assert main(gen_args(data)) == 0
+    return data
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda doc, p: {**doc, "params": p.flat.tolist()},
+     "malformed field: params must be a base64 string, got list"),
+    (lambda doc, p: {**doc, "params": doc["params"][:7] + "*" + doc["params"][8:]},
+     "malformed field: Only base64 data is allowed"),
+    (lambda doc, p: {**doc, "params": base64.b64encode(
+        base64.b64decode(doc["params"])[:-3]).decode()},
+     "malformed field: params hold 237 bytes, (4, 4, 2) need 240"),
+    (lambda doc, p: {**doc, "params": pack([*p.flat, 0.5])},
+     "malformed field: params hold 248 bytes, (4, 4, 2) need 240"),
+    (lambda doc, p: {**doc, "params": pack([*p.flat[:-1], np.nan])},
+     "non-finite parameter values"),
+    (lambda doc, p: {**doc, "params": pack([-np.inf, *p.flat[1:]])},
+     "non-finite parameter values"),
+    (v1_doc, "expected format 'relay-mlp-v2', got 'relay-mlp-v1'"),
+], ids=["not-a-string", "outside-the-alphabet", "not-whole-floats", "one-float-too-many",
+        "nan", "minus-inf", "relay-mlp-v1"])
+def test_eval_refuses_a_faulty_model_file_with_exit_4(tmp_path, capsys, small_data, fault,
+                                                      message):
+    params = init_mlp([4, 4, 2], seed=3)
+    model = tmp_path / "model.json"
+    save_model(params, normalization_for(load_dataset(str(small_data))), str(model))
+    base = ["eval", "--model", str(model), "--data", str(small_data),
+            "--out", str(tmp_path / "cmp.csv")]
+    assert main(base) == 0
+    model.write_text(json.dumps(fault(json.loads(model.read_text()), params)))
+    capsys.readouterr()
+    assert main(base) == 4
+    assert capsys.readouterr().err.strip() == f"file error: {model}: {message}"
 
 
 def test_mod_order_must_be_a_power_of_two(tmp_path, capsys):

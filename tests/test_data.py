@@ -613,3 +613,122 @@ def test_load_reports_a_records_shape_before_its_range(tmp_path):
     with pytest.raises(InvariantViolationError, match=":3: label length 2 != 1"):
         load_dataset(str(bad))
 
+
+
+@pytest.mark.parametrize(
+    "edits, exc, message",
+    [
+        # a record that does not parse: the per-line reader names it
+        ({6: ("v.0.0", "x")}, SchemaError, ":6: malformed record"),
+        # an invariant fault of a clean file: the record check names it
+        ({6: ("total_power", 1.0)}, InvariantViolationError, ":6: stored total_power"),
+        # an invariant fault before a record that does not parse
+        ({5: ("total_power", 1.0), 7: ("v.0.0", "x")}, InvariantViolationError,
+         ":5: stored total_power"),
+    ],
+    ids=["parse-fault", "invariant-fault", "invariant-before-parse-fault"],
+)
+def test_load_names_the_file_line_after_blank_lines(tmp_path, edits, exc, message):
+    # header, a record, an empty and a blank line, then records on lines 5-7
+    lines = open(corrupt_records(tmp_path, {})).read().splitlines()
+    lines[2:2] = ["", "   "]
+    for lineno, (field, value) in edits.items():
+        lines[lineno - 1] = replace_field(lines[lineno - 1], field, value)
+    bad = tmp_path / "blank.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(exc, match=f"^{re.escape(str(bad))}{message}"):
+        load_dataset(str(bad))
+
+
+def test_a_clean_file_is_read_a_column_at_a_time(tmp_path, monkeypatch):
+    lines = open(corrupt_records(tmp_path, {})).read().splitlines()
+    path = tmp_path / "clean.jsonl"
+    path.write_text("\n".join([*lines[:3], "", *lines[3:]]) + "\n")
+    calls, read_record = [], relayalloc.data._read_record
+
+    def counted(ln, config, where):
+        calls.append(where)
+        return read_record(ln, config, where)
+
+    monkeypatch.setattr("relayalloc.data._read_record", counted)
+    by_columns = load_dataset(str(path))
+    assert calls == []
+
+    def refused(*args):
+        raise ValueError("read a line at a time")
+
+    monkeypatch.setattr("relayalloc.data._read_columns", refused)
+    by_lines = load_dataset(str(path))
+    assert calls == [f"{path}:{lineno}" for lineno in (2, 3, 5, 6)]
+    assert (by_columns.config, by_columns.gen) == (by_lines.config, by_lines.gen)
+    assert len(by_columns) == len(by_lines) == 4
+    assert all(records_equal(x, y) for x, y in zip(by_columns.records, by_lines.records))
+    for name in ("samples", "labels", "totals"):
+        ours, reference = getattr(by_columns, name), getattr(by_lines, name)
+        assert (ours.dtype, ours.shape) == (reference.dtype, reference.shape)
+        assert ours.tobytes() == reference.tobytes()
+        assert not ours.flags.writeable and not reference.flags.writeable
+    assert not any(rec.sample.flags.writeable for rec in by_columns.records)
+
+
+def test_a_record_broken_over_two_lines_is_refused(tmp_path):
+    # neither line is JSON alone, but joined by a comma into one array the
+    # two would read as two records; each line is parsed on its own
+    lines = open(corrupt_records(tmp_path, {})).read().splitlines()
+    lines[1] = lines[1][:-1] + ', "x": [{}'
+    lines[2] = "{}]}, " + lines[2]
+    bad = tmp_path / "broken.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    joined = json.loads("[" + ",".join(lines[1:]) + "]")
+    assert len(joined) == len(lines) - 1 and all(type(doc) is dict for doc in joined)
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(bad))}:2: not valid JSON"):
+        load_dataset(str(bad))
+
+
+def load_outcome(path, by_lines):
+    """What load_dataset gives: the exception, or the records and columns."""
+    with pytest.MonkeyPatch.context() as patch:
+        if by_lines:
+            patch.setattr("relayalloc.data._read_columns", lambda *args: {}["read by lines"])
+        try:
+            dataset = load_dataset(path)
+        except (SchemaError, InvariantViolationError) as exc:
+            return type(exc), str(exc)
+    records = [(r.sample.tobytes(), r.label, r.total_power, r.achieved_outage, r.evaluations)
+               for r in dataset.records]
+    return records, [(c.shape, c.tobytes()) for c in (dataset.samples, dataset.labels,
+                                                      dataset.totals)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    field=st.sampled_from(["v", "v.1", "v.2.0", "pt", "pt.0", "pr.0", "total_power",
+                           "achieved_outage", "evaluations"]),
+    value=st.one_of(st.integers(-(2**70), 2**70), st.floats(), st.booleans(), st.none(),
+                    st.text(max_size=3), st.lists(st.floats(0.5, 5.0), max_size=3)),
+    record=st.integers(0, 2),
+)
+def test_the_column_reader_agrees_with_the_line_reader(saved_split_lines, tmp_path_factory,
+                                                       field, value, record):
+    lines = list(saved_split_lines)
+    lines[1 + record] = replace_field(lines[1 + record], field, value)
+    path = tmp_path_factory.getbasetemp() / "either_reader.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert load_outcome(str(path), False) == load_outcome(str(path), True)
+
+
+def test_the_column_reader_takes_integers_as_the_line_reader_does(tmp_path):
+    # integer JSON numbers where floats are stored load as the same floats
+    v = np.array([[1.0], [2.0], [1.0], [1.0]])
+    oracle = solve(stats_from_sample(v), CFG, 1e-2, **SOLVER)
+    record = DatasetRecord(v, oracle.allocation, oracle.total_power, oracle.achieved_outage,
+                           oracle.evaluations)
+    path = tmp_path / "integers.jsonl"
+    save_dataset(Dataset(CFG, GenerationSpec("uniform", 0.5, 5.0, 1, 0, 1e-2), (record,)),
+                 str(path))
+    header, line = path.read_text().splitlines()
+    path.write_text(header + "\n" + replace_field(line, "v", [[1], [2], [1], [1]]) + "\n")
+    by_columns = load_outcome(str(path), False)
+    assert by_columns == load_outcome(str(path), True)
+    records, _ = by_columns
+    assert records[0][0] == v.tobytes()

@@ -1,5 +1,7 @@
 import ast
+import base64
 import importlib.util
+import json
 import math
 import re
 from dataclasses import replace
@@ -482,6 +484,11 @@ def test_power_allocation_refuses_powers_that_are_not_finite_and_non_negative():
     assert PowerAllocation(pt=(1.7976931348623157e308, 2**63), pr=(-0.0, 0)).pt[1] == 2**63
 
 
+def pack(vec) -> str:
+    """A parameter vector as a model file's ``params`` string."""
+    return base64.b64encode(np.asarray(vec, dtype="<f8").tobytes()).decode("ascii")
+
+
 def test_model_persistence_is_bit_exact(tmp_path):
     params = init_mlp([8, 32, 16, 4], seed=21)
     # perturb away from the raw init so the file sees arbitrary floats
@@ -509,6 +516,26 @@ def test_model_persistence_is_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_model_file_holds_the_parameter_vector_as_base64_float64(tmp_path):
+    params = init_mlp([3, 4, 2], seed=5)
+    # values a decimal writer could lose: -0.0, the least subnormal, the
+    # largest float and a float with all 53 significand bits set
+    params.flat[:4] = [-0.0, 5e-324, 1.7976931348623157e308, 1.0 - 2.0**-53]
+    norm = NormalizationSpec(range_hi=5.0, pt_max=5000.0, pr_max=2500.0)
+    path = tmp_path / "model.json"
+    save_model(params, norm, str(path))
+    doc = json.loads(path.read_text())
+    assert list(doc) == ["format", "layer_dims", "normalization", "params"]
+    assert doc["format"] == "relay-mlp-v2" and doc["layer_dims"] == [3, 4, 2]
+    assert base64.b64decode(doc["params"]) == params.flat.astype("<f8").tobytes()
+    loaded, _ = load_model(str(path))
+    assert loaded.flat.tobytes() == params.flat.tobytes()
+    assert all(w.base is loaded.flat for w in (*loaded.weights, *loaded.biases))
+    loaded.biases[-1][:] += 1.0  # a loaded model is writable, as a new one is
+    save_model(loaded, norm, str(path))
+    assert load_model(str(path))[0].flat.tobytes() == loaded.flat.tobytes()
+
+
 def test_model_loader_rejects_malformed_files(tmp_path):
     params = init_mlp([4, 8, 2], seed=1)
     norm = NormalizationSpec(range_hi=5.0, pt_max=5000.0, pr_max=5000.0)
@@ -524,8 +551,6 @@ def test_model_loader_rejects_malformed_files(tmp_path):
     with pytest.raises(SchemaError):
         load_model(str(bad))
 
-    import json
-
     doc = json.loads(good.read_text())
     doc["format"] = "something-else"
     bad.write_text(json.dumps(doc))
@@ -533,20 +558,20 @@ def test_model_loader_rejects_malformed_files(tmp_path):
         load_model(str(bad))
 
     doc = json.loads(good.read_text())
-    doc["weights"][0] = doc["weights"][0][:-1]  # drop one weight
+    doc["params"] = pack(params.flat[:-1])  # drop the last value
     bad.write_text(json.dumps(doc))
     with pytest.raises(SchemaError):
         load_model(str(bad))
 
     doc = json.loads(good.read_text())
-    del doc["weights"][1]  # drop a whole block
+    doc["params"] = pack(np.delete(params.flat, np.s_[32:48]))  # drop the second weight block
     bad.write_text(json.dumps(doc))
     with pytest.raises(SchemaError):
         load_model(str(bad))
 
     doc = json.loads(good.read_text())
-    doc["weights"][0][0] = float("nan")
-    bad.write_text(json.dumps(doc).replace("NaN", "NaN"))
+    doc["params"] = pack(np.where(np.arange(params.flat.size) == 0, np.nan, params.flat))
+    bad.write_text(json.dumps(doc))
     with pytest.raises(SchemaError):
         load_model(str(bad))
 
@@ -560,17 +585,17 @@ def test_model_loader_rejects_malformed_files(tmp_path):
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("use_bias", "false"),
-        ("use_bias", False),
-        ("use_bias", 1),
-        ("weights.0.0", "0.0083"),
-        ("weights.0.0", True),
-        ("biases.1.0", None),
+        ("params", False),
+        ("params", 1),
+        pytest.param("params", [0.0083], id="params-list"),
+        ("params", "0.0083"),
+        ("params", True),
+        ("params", None),
         ("layer_dims.1", 8.9),
         ("layer_dims.1", "8"),
         ("layer_dims.2", True),
         ("layer_dims.1", 10**30),
-        pytest.param("weights.0.0", 10**400, id="weights.0.0-too-large-for-float"),
+        pytest.param("params", 10**400, id="params-too-large-for-float"),
         ("layer_dims", [[4], [8], [1]]),
         ("normalization.range_hi", True),
         ("normalization.pt_max", "5000.0"),
@@ -578,8 +603,6 @@ def test_model_loader_rejects_malformed_files(tmp_path):
     ],
 )
 def test_model_loader_refuses_wrong_typed_fields(tmp_path, field, value):
-    import json
-
     path = tmp_path / "model.json"
     save_model(init_mlp([4, 8, 1], seed=2),
                NormalizationSpec(range_hi=5.0, pt_max=5000.0, pr_max=5000.0), str(path))
@@ -592,7 +615,6 @@ def test_model_loader_refuses_wrong_typed_fields(tmp_path, field, value):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError):
         load_model(str(path))
-
 
 
 def test_model_module_imports_nothing_from_the_dataset_module():
