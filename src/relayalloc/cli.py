@@ -50,6 +50,7 @@ from .errors import (
     NonFiniteLossError,
     NumericConsistencyError,
     SchemaError,
+    check_integer,
 )
 from .gridsearch import OUTAGE_MODES, SystemConfig, solve
 from .mlp import init_mlp, load_model, save_model
@@ -264,6 +265,11 @@ _GEN_DATA_OPTIONS = (
 def _cmd_gen_data(opts: dict, args: argparse.Namespace) -> tuple | None:
     config = SystemConfig(**_pick(_SYSTEM, opts))
     validation_count = opts["validation_count"]
+    # refused before the labeling: build_dataset sees only the sum, split runs after it
+    check_integer("count", opts["count"], 1)
+    check_integer("validation_count", validation_count, 0)
+    if opts["split_seed"] is not None:
+        check_integer("split_seed", opts["split_seed"], 0)
     dataset = build_dataset(
         config, **{**_pick(_BUILD, opts), "count": opts["count"] + validation_count},
         progress=_progress_printer("labeling"),
@@ -308,6 +314,7 @@ _TRAIN_OPTIONS = (
 
 
 def _cmd_train(opts: dict, args: argparse.Namespace) -> tuple | None:
+    check_integer("init_seed", opts["init_seed"], 0)  # init_mlp would name it "seed"
     dataset = load_dataset(opts["data"])
     validation = load_dataset(opts["val_data"]) if opts["val_data"] else None
     dims = _layer_dims(dataset.config, _parse_list(opts["hidden"], int, "--hidden"))

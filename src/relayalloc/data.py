@@ -36,6 +36,7 @@ from .errors import (
     InvariantViolationError,
     SchemaError,
     check_finite,
+    check_integer,
 )
 from .gridsearch import (
     STOP_REASONS,
@@ -162,8 +163,8 @@ def draw_feasible_samples(
     mu = range_hi, eta = range_lo misses the cap, so does every draw.
     """
     _check_range(range_lo, range_hi)
-    if count < 1:
-        raise InvalidArgumentError(f"count must be >= 1, got {count}")
+    check_integer("count", count, 1)
+    check_integer("seed", seed, 0)
     ideal = np.repeat([[range_hi], [range_hi], [range_lo], [range_lo]], config.cols, axis=1)
     best = float(_outage_at_caps(ideal, config))
     if not best <= config.psi_th:
@@ -205,6 +206,7 @@ def label_dataset(
     ``gridsearch._solve_many``: records are bitwise one-sample ``solve``
     results in input order for any ``workers``, and failures and ``progress``
     calls are as there. ``labeling`` tells the wall time and stop reasons."""
+    check_integer("workers", workers, 1)
     samples = np.asarray(samples, dtype=float)
     started = time.perf_counter()
     results = _solve_many(samples, config, delta, workers=workers, progress=progress,
@@ -234,7 +236,9 @@ def build_dataset(
     solver_kwargs: dict | None = None,
     progress=None,
 ) -> Dataset:
-    """The gen-data orchestration: refuse an over-budget level-0 grid, then draw and label."""
+    """The gen-data orchestration: refuse a worker count below 1 and an
+    over-budget level-0 grid, then draw and label."""
+    check_integer("workers", workers, 1)
     _check_first_grid(config, **(solver_kwargs or {}))
     if sampler == "uniform":
         samples, rejected = draw_feasible_samples(count, range_lo, range_hi, config, seed)
@@ -258,6 +262,7 @@ def build_dataset(
 
 def split(dataset: Dataset, validation_count: int, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded shuffle into disjoint (train, validation); union is the input."""
+    check_integer("seed", seed, 0)
     n = len(dataset)
     if not (0 < validation_count < n):
         raise InvalidArgumentError(

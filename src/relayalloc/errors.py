@@ -2,9 +2,10 @@
 
 The CLI maps these onto process exit codes; library users can catch the
 common base class. ``check_finite`` is the one rule for a number the
-package accepts.
+package accepts, ``check_integer`` the one rule for a seed or a count.
 """
 
+import numbers
 import sys
 
 _FLOAT_MAX = sys.float_info.max
@@ -25,6 +26,15 @@ def check_finite(name: str, value, positive: bool = True) -> None:
     if not (0.0 < value <= _FLOAT_MAX if positive else 0.0 <= value <= _FLOAT_MAX):
         raise InvalidArgumentError(
             f"{name} must be finite and {'>' if positive else '>='} 0, got {value!r}")
+
+
+def check_integer(name: str, value, least: int) -> None:
+    """Refuse ``value`` unless it is an integer >= ``least``: a seed (least
+    0, the seeds numpy's generators take), a record count or a worker count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InvalidArgumentError(f"{name} must be >= {least}, got {value!r}")
 
 
 class InfeasibleProblemError(RelayAllocError):

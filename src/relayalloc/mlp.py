@@ -54,7 +54,7 @@ from functools import cached_property
 import numpy as np
 
 from ._files import atomic_open, numbers, read_json, typed
-from .errors import InvalidArgumentError, SchemaError, check_finite
+from .errors import InvalidArgumentError, SchemaError, check_finite, check_integer
 from .gridsearch import PowerAllocation
 
 _SIGMOID_SAT = 40.0  # |z| beyond which the sigmoid is saturated in float64
@@ -215,6 +215,7 @@ def _validate_dims(layer_dims) -> tuple[int, ...]:
 def init_mlp(layer_dims, seed: int) -> MlpParams:
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases."""
     dims = _validate_dims(layer_dims)
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     weights = [rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), size=(fan_out, fan_in))
                for fan_in, fan_out in zip(dims[:-1], dims[1:])]

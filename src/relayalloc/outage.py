@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import _xk1e, xk1e
-from .errors import InvalidArgumentError, NumericConsistencyError, check_finite
+from .errors import InvalidArgumentError, NumericConsistencyError, check_finite, check_integer
 from .saps import SapSet
 
 _PROB_TOL = 1e-12
@@ -137,11 +137,12 @@ def _phi(mu1, mu2, eta1, eta2, pt, pr, s: float) -> np.ndarray:
     an A that overflows, -> 1).
 
     The statistics broadcast as they come, so they are never copied out to
-    the full shape. Where some power is not positive, both powers become 1
-    there (dividing by no zero) and the Bessel factor runs on the positive
-    entries only; each positive entry's arithmetic is the same either way.
-    An infinite z (A overflows when the powers are tiny) is left out the
-    same way: its limit is 1, and the product would give inf * 0 = NaN.
+    the full shape. Phi is 1 - bracket * exp(-(z + b)), written once. Where
+    some power is not positive, both powers become 1 there (dividing by no
+    zero) and the bracket is 0, so Phi is exactly 1; the Bessel factor runs
+    on the kept entries only, each with the same arithmetic either way. An
+    infinite z (A overflows when the powers are tiny) gets a 0 bracket too:
+    its limit is 1, and xk1e(inf) * e^-inf would give inf * 0 = NaN.
     """
     on = True
     every = (np.minimum.reduce(pt, axis=None, initial=np.inf) > 0.0
@@ -156,12 +157,12 @@ def _phi(mu1, mu2, eta1, eta2, pt, pr, s: float) -> np.ndarray:
     flat = z.reshape(-1)
     greatest = np.maximum.reduce(flat, initial=0.0)
     if every and greatest < np.inf:  # a NaN fails too: z is finite and >= 0, xk1e's checks pass
-        least = np.minimum.reduce(flat, initial=np.inf)
-        out = 1.0 - _xk1e(flat, least, greatest).reshape(z.shape) * np.exp(-(z + b))
-    else:
-        on = np.broadcast_to(on, z.shape) & (z != np.inf)
-        out, z, b = np.ones(z.shape), z[on], np.broadcast_to(b, on.shape)[on]
-        out[on] = 1.0 - xk1e(z) * np.exp(-(z + b))
+        bracket = _xk1e(flat, np.minimum.reduce(flat, initial=np.inf), greatest)
+    else:  # a NaN z is kept, so xk1e refuses it
+        keep = (np.broadcast_to(on, z.shape) & (z != np.inf)).reshape(-1)
+        bracket = np.zeros(flat.shape)
+        bracket[keep] = xk1e(flat[keep])
+    out = 1.0 - bracket.reshape(z.shape) * np.exp(-(z + b))
     return _clamp_probability(out).reshape(np.shape(a))
 
 
@@ -266,6 +267,7 @@ def monte_carlo_outage(
     check_finite("snr threshold", s)
     if trials < _MC_MIN_TRIALS:
         raise InvalidArgumentError(f"trials must be >= {_MC_MIN_TRIALS}, got {trials}")
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     hits = 0
     done = 0

@@ -28,7 +28,13 @@ import numpy as np
 
 from ._files import atomic_open
 from .data import Dataset, build_dataset, split
-from .errors import _FLOAT_MAX, InvalidArgumentError, NonFiniteLossError, check_finite
+from .errors import (
+    _FLOAT_MAX,
+    InvalidArgumentError,
+    NonFiniteLossError,
+    check_finite,
+    check_integer,
+)
 from .gridsearch import SystemConfig, _outage, _row_totals
 from .mlp import (  # noqa: F401 -- gradients: perfbench/layers.py wraps training.gradients
     Batch,
@@ -65,14 +71,13 @@ class TrainingConfig:
     snapshot_every: int = 100
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.snapshot_every < 1:
-            raise InvalidArgumentError(
-                "epochs, batch_size and snapshot_every must all be >= 1"
-            )
+        for name in ("epochs", "batch_size", "snapshot_every"):
+            check_integer(name, getattr(self, name), 1)
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise InvalidArgumentError("beta1 and beta2 must lie in [0, 1)")
         for name in ("step_size", "epsilon"):
             check_finite(name, getattr(self, name))
+        check_integer("shuffle_seed", self.shuffle_seed, 0)
 
 
 @dataclass(frozen=True)
@@ -158,6 +163,8 @@ def train(
     kept). Snapshots record full-training-set loss, validation relative
     error (NaN if no validation set) and wall-clock seconds.
     Each epoch gathers the shuffled set once; steps run in buffers made once.
+    A validation set must share the training set's system configuration
+    and normalization, or it is refused before the first step.
     """
     norm = normalization_for(dataset)
     x, y = dataset_arrays(dataset, norm)
@@ -165,6 +172,14 @@ def train(
         raise InvalidArgumentError(
             f"network ({params.n_in} -> {params.n_out}) does not fit data "
             f"({x.shape[1]} -> {y.shape[1]})"
+        )
+    if validation is not None and (validation.config, normalization_for(validation)) != (
+        dataset.config, norm
+    ):  # the caps are config fields: past the config, only range_hi can differ
+        raise InvalidArgumentError(
+            "training and validation sets disagree on the system or the normalization "
+            f"(training {dataset.config}, range_hi {norm.range_hi}; "
+            f"validation {validation.config}, range_hi {validation.gen.range_hi})"
         )
     state = init_adam(
         params,
@@ -367,8 +382,8 @@ class SweepSpec:
         if not self.grid:
             raise InvalidArgumentError("sweep grid is empty")
         for name in ("repeats", "train_count", "validation_count"):
-            if getattr(self, name) < 1:
-                raise InvalidArgumentError(f"{name} must be >= 1, got {getattr(self, name)}")
+            check_integer(name, getattr(self, name), 1)
+        check_integer("base_seed", self.base_seed, 0)
 
 
 @dataclass(frozen=True)

@@ -393,6 +393,44 @@ def test_train_refuses_non_finite_adam_settings_before_any_epoch(tmp_path, capsy
         assert not model.exists() and not history.exists()
 
 
+SWEEP_ARGS = ["sweep", *SMALL_SYSTEM, "--grid", "2", "--repeats", "1", "--train-count", "2",
+              "--validation-count", "1", "--epochs", "1", "--batch-size", "2"]
+
+
+REFUSED_BEFORE_ANY_WORK = [
+    ("gen-data", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ("gen-data", ["--validation-count", "2", "--split-seed", "-5"],
+     "split_seed must be >= 0, got -5"),
+    ("gen-data", ["--count", "10", "--validation-count", "-3"],
+     "validation_count must be >= 0, got -3"),
+    ("gen-data", ["--validation-count", "4", "--count", "0"], "count must be >= 1, got 0"),
+    ("gen-data", ["--workers", "0"], "workers must be >= 1, got 0"),
+    ("gen-data", ["--workers", "-2"], "workers must be >= 1, got -2"),
+    ("train", ["--init-seed", "-1"], "init_seed must be >= 0, got -1"),
+    ("train", ["--shuffle-seed", "-1"], "shuffle_seed must be >= 0, got -1"),
+    ("sweep", ["--base-seed", "-1"], "base_seed must be >= 0, got -1"),
+    ("sweep", ["--workers", "0"], "workers must be >= 1, got 0"),
+    ("sweep", ["--workers", "-2"], "workers must be >= 1, got -2"),
+]
+
+
+@pytest.mark.parametrize("command, extra, message", REFUSED_BEFORE_ANY_WORK,
+                         ids=[f"{c} {' '.join(e[-2:])}" for c, e, _ in REFUSED_BEFORE_ANY_WORK])
+def test_seeds_counts_and_workers_are_refused_before_any_work(tmp_path, capsys, small_data,
+                                                              command, extra, message):
+    out = tmp_path / "out"
+    args = {
+        "gen-data": gen_args(out / "d.jsonl", extra=["--val-out", str(out / "v.jsonl")]),
+        "train": train_args(small_data, small_data, out / "m.json", out / "h.csv"),
+        "sweep": [*SWEEP_ARGS, "--out-dir", str(out)],
+    }[command]
+    assert main(args + extra) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "labeling:" not in err and "runs:" not in err
+    assert not out.exists()
+
+
 def test_train_and_eval_pipeline(tmp_path, capsys):
     data = tmp_path / "train.jsonl"
     val = tmp_path / "val.jsonl"
@@ -507,6 +545,18 @@ def test_eval_rejects_normalization_mismatch(tmp_path):
     other = tmp_path / "other.jsonl"
     assert main(gen_args(other, count=4, extra=("--range-hi", "6.0"))) == 0
     assert main(["eval", "--model", str(model), "--data", str(other)]) == 2
+
+
+@pytest.mark.parametrize("extra", [["--range-hi", "4"], ["--active", "2"]],
+                         ids=["range_hi", "active"])
+def test_train_refuses_a_mismatched_validation_set(tmp_path, capsys, small_data, extra):
+    val = tmp_path / "val.jsonl"
+    assert main(gen_args(val, count=3, extra=extra)) == 0
+    model, history = tmp_path / "model.json", tmp_path / "h.csv"
+    capsys.readouterr()
+    assert main(train_args(small_data, val, model, history)) == 2
+    assert "training and validation sets disagree" in capsys.readouterr().err
+    assert not model.exists() and not history.exists()
 
 
 def test_eval_limit_validation(tmp_path):

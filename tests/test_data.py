@@ -21,6 +21,7 @@ from relayalloc import (
     SchemaError,
     SubcarrierStats,
     SystemConfig,
+    TrainingConfig,
     build_dataset,
     draw_feasible_samples,
     feasibility_check,
@@ -31,8 +32,10 @@ from relayalloc import (
     solve,
     split,
     stats_from_sample,
+    sweep,
 )
 from relayalloc.gridsearch import _batch_size, _search_options
+from relayalloc.training import SweepSpec
 
 # one active subcarrier keeps the searches tiny
 CFG = SystemConfig(n=2, t=1, m=2, psi_th=1e-2, pt_max=5000.0, pr_max=5000.0)
@@ -403,6 +406,24 @@ def test_build_dataset_refuses_unknown_search_options_before_sampling(monkeypatc
                       solver_kwargs={"grid_0": 5, "x": 1, "grid0": 5})
     with pytest.raises(InvalidArgumentError, match="grid_0"):
         label_dataset(np.full((1, 4, 1), 1.0), CFG, 1e-2, solver_kwargs={"grid_0": 5})
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_every_labeling_entry_refuses_fewer_than_one_worker_before_sampling(monkeypatch,
+                                                                             workers):
+    def never(*args, **kwargs):
+        raise AssertionError("sampled before the worker count was checked")
+
+    monkeypatch.setattr("relayalloc.data.draw_feasible_samples", never)
+    monkeypatch.setattr("relayalloc.data._solve_many", never)
+    message = f"workers must be >= 1, got {workers}"
+    with pytest.raises(InvalidArgumentError, match=message):
+        build_dataset(CFG, 2, 0.5, 5.0, 1, 1e-2, workers=workers)
+    with pytest.raises(InvalidArgumentError, match=message):
+        label_dataset(np.full((1, 4, 1), 1.0), CFG, 1e-2, workers=workers)
+    with pytest.raises(InvalidArgumentError, match=message):
+        sweep(SweepSpec("neurons", (2,), repeats=1, train_count=2, validation_count=1), CFG,
+              TrainingConfig(epochs=1), workers=workers)
 
 
 def test_build_dataset_takes_a_budget_it_fits_exactly():

@@ -10,11 +10,17 @@ from relayalloc import (
     SubcarrierStats,
     SystemConfig,
     TrainingConfig,
+    build_dataset,
+    draw_feasible_samples,
     encode_input,
     enumerate_saps,
     generate_grid_samples,
+    init_mlp,
+    monte_carlo_outage,
+    split,
 )
-from relayalloc.errors import check_finite
+from relayalloc.errors import check_finite, check_integer
+from relayalloc.training import SweepSpec
 
 
 def _query(s):
@@ -58,3 +64,39 @@ def test_check_finite_bounds_and_messages():
         check_finite("x", 0.0)
     with pytest.raises(InvalidArgumentError, match="^x must be finite and >= 0, got -5e-324$"):
         check_finite("x", -5e-324, positive=False)
+
+
+def test_check_integer_bounds_and_messages():
+    check_integer("x", 0, 0)
+    check_integer("x", np.int64(3), 1)
+    check_integer("x", 10**400, 1)  # numpy seeds take any size
+    with pytest.raises(InvalidArgumentError, match="^x must be >= 1, got 0$"):
+        check_integer("x", 0, 1)
+    for bad in (True, 1.0, "1", None):
+        with pytest.raises(InvalidArgumentError, match="^x must be an integer, got "):
+            check_integer("x", bad, 0)
+
+
+_CFG = SystemConfig(n=2, t=1, m=2)
+
+# Every seed the package takes from a caller, each built with one value swapped in.
+SEEDS = [
+    ("draw_feasible_samples", lambda v: draw_feasible_samples(1, 0.5, 5.0, _CFG, v)),
+    ("build_dataset", lambda v: build_dataset(_CFG, 1, 0.5, 5.0, v, 1e-2)),
+    ("split", lambda v: split(build_dataset(_CFG, 2, 0.5, 5.0, 1, 1e-2), 1, v)),
+    ("init_mlp", lambda v: init_mlp([4, 2, 2], v)),
+    ("TrainingConfig.shuffle_seed", lambda v: TrainingConfig(shuffle_seed=v)),
+    ("SweepSpec.base_seed", lambda v: SweepSpec("neurons", (2,), base_seed=v)),
+    ("monte_carlo_outage", lambda v: monte_carlo_outage(
+        SubcarrierStats(1.0, 1.0, 1.0, 1.0), SubcarrierPower(1.0, 1.0), 1.0, 10_000, v)),
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in SEEDS], ids=[name for name, _ in SEEDS])
+def test_every_seed_refuses_what_numpy_cannot_seed_with(build):
+    build(0)
+    build(2**64)  # beyond uint64: a seed sequence takes any size
+    with pytest.raises(InvalidArgumentError, match=r"seed must be >= 0, got -1$"):
+        build(-1)
+    with pytest.raises(InvalidArgumentError, match=r"seed must be an integer, got 1\.5$"):
+        build(1.5)

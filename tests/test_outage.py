@@ -92,8 +92,9 @@ def test_probability_bounds_on_wide_grid():
 
 
 def test_grid_matches_scalar_bitwise():
-    pts = np.array([0.0, 1.0, 17.3, 430.0])
-    prs = np.array([5.0, 62.0])
+    # 1e-200 on both hops makes z infinite; a zero power switches the pair off
+    pts = np.array([0.0, 1e-200, 1.0, 17.3, 430.0])
+    prs = np.array([0.0, 1e-200, 5.0, 62.0])
     grid = outage_grid(UNIT, pts[:, None], prs[None, :], 1.0)
     for i, pt in enumerate(pts):
         for j, pr in enumerate(prs):

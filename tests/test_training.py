@@ -115,6 +115,23 @@ def test_network_width_must_match_dataset():
         train(init_mlp([6, 8, 2], seed=0), dataset, tiny_training())
 
 
+@pytest.mark.parametrize("other", [
+    (CFG, 4.0),  # decoded with its own normalization, its error would be meaningless
+    (SystemConfig(n=2, t=2, m=2), 5.0),  # would fail only at the first snapshot
+], ids=["range_hi", "active"])
+def test_train_refuses_a_mismatched_validation_set_before_any_step(monkeypatch, other):
+    config, range_hi = other
+    validation = build_dataset(config, 3, 0.5, range_hi, 302, 1e-2, solver_kwargs=SOLVER)
+
+    def never(*args, **kwargs):
+        raise AssertionError("stepped before the validation set was checked")
+
+    monkeypatch.setattr("relayalloc.training.adam_step", never)
+    with pytest.raises(InvalidArgumentError, match="training and validation sets disagree"):
+        train(init_mlp([4, 8, 2], seed=7), tiny_dataset(count=4), tiny_training(),
+              validation=validation)
+
+
 def test_non_finite_loss_aborts_with_location():
     dataset = tiny_dataset(count=8)
     params = init_mlp([4, 8, 2], seed=7)

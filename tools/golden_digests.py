@@ -1,17 +1,19 @@
 """Golden digests of the CLI pipeline and of the loaders' refusals.
 
-Runs 14 CLI invocations (gen-data, train, eval, solve, sweep and one
-refused flag) and 21 evals of corrupt datasets and models in a fresh
-directory, each as its own ``python -m relayalloc.cli`` process with BLAS
-on one thread, and prints one JSON object: for every invocation its exit
-code and the first 16 hex digits of the sha256 of its stdout, and its
-stderr; for every artifact it left, the same digest. Run manifests hold
-wall times and paths and are left out.
+Runs 18 CLI invocations (gen-data, train, eval, solve, sweep, and five
+refused ones: an unknown flag, a negative seed, a negative validation count,
+zero workers and a mismatched validation set) and 21 evals of corrupt
+datasets and models in a fresh directory, each as its own ``python -m
+relayalloc.cli`` process with BLAS on one thread, and prints one JSON
+object: for every invocation its exit code and the first 16 hex digits of
+the sha256 of its stdout, and its stderr; for every artifact it left, the
+same digest. Run manifests hold wall times and paths and are left out.
 
     python tools/golden_digests.py SRC_DIR WORK_DIR > digests.json
 
-SRC_DIR is the ``src`` directory whose ``relayalloc`` runs. Two trees give
-the same digests where they write the same bytes; ``diff`` the outputs.
+SRC_DIR is the ``src`` directory whose ``relayalloc`` runs, and WORK_DIR
+must not exist yet. Two trees give the same digests where they write the
+same bytes; ``diff`` the outputs.
 """
 
 import base64
@@ -50,6 +52,14 @@ PIPELINE = [
     ("unknown_flag", ["gen-data", "--grid_0", "5"]),
     ("sweep", ["sweep", *SMALL, "--grid", "2,4", "--repeats", "1", "--train-count", "8",
                "--validation-count", "4", "--epochs", "3", "--batch-size", "4"]),
+    ("negative_seed", ["gen-data", "--count", "4", "--seed", "-1", "--out", "refused.jsonl"]),
+    ("negative_validation_count", ["gen-data", "--count", "10", "--validation-count", "-3",
+                                   "--out", "refused.jsonl"]),
+    ("workers_0", ["gen-data", "--count", "4", "--workers", "0", "--out", "refused.jsonl"]),
+    ("train_mismatched_validation", ["train", "--data", "train.jsonl", "--val-data",
+                                     "narrow.jsonl", "--epochs", "3",
+                                     "--model-out", "refused_model.json",
+                                     "--history-out", "refused_history.csv"]),
 ]
 
 
@@ -117,7 +127,10 @@ def _digest(data: bytes) -> str:
 
 
 def main(src, work):
-    os.makedirs(work)
+    try:
+        os.makedirs(work)
+    except FileExistsError:
+        sys.exit(f"error: {work} exists; give a WORK_DIR that does not")
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src), "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     out = {"runs": {}, "artifacts": {}}
