@@ -49,10 +49,16 @@ at a time into a frontier of partial allocations (partial total, partial
 q product), both folded left to right like the full ones, so each is
 bitwise their prefix and is dropped by the same rule (with several
 activation patterns the merge keeps every partial). The last subcarrier is
-searched, not multiplied out: the running maximum of q along its
-cost-sorted frontier makes feasibility monotone, so one ``_combine`` call
-finds the block holding each partial's first feasible pair and a second
-evaluates that block, widened to every pair that could tie with it. The
+searched, not multiplied out. The running maximum of q along its
+cost-sorted frontier makes feasibility monotone, so two ``_combine`` calls
+find each partial's first feasible pair: one at the ends of blocks of
+about sqrt(width) pairs finds the block holding it, one inside that block
+its place. Costs ascend and rounded addition is monotone, so that pair is
+the partial's cheapest feasible one, and an instance's least total is the
+least, over partials, of the partial total plus that pair's cost. Only the
+partials that reach it are widened, to the pairs costing at most the margin
+more than their first, and the cells that tie are thinned one coordinate at
+a time to each instance's lexicographically smallest vector, not sorted. The
 closed form (``outage._phi``) runs once per level for every pair; every
 other outage evaluation is one ``_outage`` call, which hands statistic
 matrices and allocation vectors to ``outage._block_outage``.
@@ -316,33 +322,49 @@ def _scan(samples, config, axes, fresh, margin):
         total, prod = np.where(kept, sums[rows, keep], np.inf), prods[rows, keep]
         held = np.concatenate([held[rows, keep // wide], (keep % wide)[..., None]], axis=2)
 
-    # the last subcarrier: the block holding each partial's first pair whose
-    # running max of q is feasible, then that block and the longest run of
-    # costs within the margin of each other after it
-    last, rows = t_dims - 1, rows[:, :, None]
-    qs = [q[rows, j, held[..., j, None]] for j in range(last)]
+    # the last subcarrier: each partial's first pair whose running max of q
+    # is feasible (the block holding it, then its place in that block) is
+    # its first feasible pair, and so its cheapest
+    last = t_dims - 1
+    qs = [q[rows[..., None], j, held[..., j, None]] for j in range(last)]
     size = math.isqrt(wide - 1) + 1
-    ends = np.minimum(np.arange(size - 1, wide + size - 1, size), wide - 1)
-    reach = np.maximum.accumulate(q[:, last], axis=1)[:, None, ends]
-    block = (_combine(qs + [reach], patterns) > config.psi_th).sum(axis=2, keepdims=True)
-    close = (cost[:, last, 1:] <= cost[:, last, :-1] + margin) & real[:, last, 1:]
-    steps = np.arange(1, wide)
-    run = steps - np.maximum.accumulate(np.where(close, 0, steps), axis=1)
-    span = min(size + int(run.max(initial=0)), wide)
-    near = np.minimum(block * size, wide - span) + np.arange(span)
-    fits = _combine(qs + [q[rows, last, near]], patterns) <= config.psi_th
-    sums = np.where(fits, total[..., None] + cost[rows, last, near], np.inf)
-    least = sums.min(axis=(1, 2))
-    g, part, k = np.nonzero((sums == least[:, None, None]) & np.isfinite(sums))
-    picks = np.concatenate([held[g, part], near[g, part, k, None]], axis=1)
+    blocks = -(-wide // size)  # of size pairs each, the last one padded with its end
+    reach = np.maximum.accumulate(q[:, last], axis=1)
+    reach = reach[:, np.minimum(np.arange(blocks * size), wide - 1)].reshape(n, blocks, size)
+    block = (_combine(qs + [reach[:, None, :, -1]], patterns) > config.psi_th).sum(axis=2)
+    block = np.minimum(block, blocks - 1)  # where none is feasible: the last block
+    first = block * size + (_combine(qs + [reach[rows, block]], patterns)
+                            > config.psi_th).sum(axis=2)  # wide or more: none
+    sums = total + cost[rows, last, np.minimum(first, wide - 1)]
+    sums[first >= wide] = np.inf
+    least = sums.min(axis=1)
+
+    # ties: the partials that reach the least total, each over its pairs
+    # that cost at most the margin more than its first feasible one
+    g, part = np.nonzero((sums == least[:, None]) & (sums < np.inf))
+    start = first[g, part]
+    stop = (cost[g, last] <= cost[g, last, start, None] + margin).sum(axis=1)
+    near = np.minimum(start[:, None] + np.arange(int((stop - start).max(initial=1))), wide - 1)
+    lane = g[:, None]
+    fits = _combine([x[g, part] for x in qs] + [q[lane, last, near]], patterns) <= config.psi_th
+    tied = fits & (total[g, part, None] + cost[lane, last, near] == least[lane])
+    i, k = np.nonzero(tied)
+    g, picks = g[i], np.concatenate([held[g[i], part[i]], near[i, k, None]], axis=1)
     at = (g[:, None], np.arange(t_dims), picks)
     ties = np.concatenate([pt[at], pr[at]], axis=1)
-    order = np.lexsort((*ties.T[::-1], g))
-    first = order[np.concatenate(([True], g[order[1:]] != g[order[:-1]]))]
-    totals, vectors = np.full(n, np.inf), np.zeros((n, 2 * t_dims))
-    totals[g[first]] = least[g[first]]
-    vectors[g[first]] = ties[first]
-    return totals, vectors
+    # each instance's lexicographically smallest tie: keep the ties at the
+    # instance's least coordinate, one coordinate at a time, until one is left
+    winners = np.count_nonzero(least < np.inf)
+    for col in range(2 * t_dims):
+        if len(g) == winners:
+            break
+        low = np.full(n, np.inf)
+        np.minimum.at(low, g, ties[:, col])
+        keep = ties[:, col] == low[g]
+        g, ties = g[keep], ties[keep]
+    vectors = np.zeros((n, 2 * t_dims))
+    vectors[g] = ties
+    return least, vectors
 
 
 def _gate_failures(samples: np.ndarray, config: SystemConfig) -> dict:
@@ -498,63 +520,56 @@ def _solve_batch(
     failures = _gate_failures(samples, config)
     if 0 in failures:  # before the grid is built, as for one instance
         raise failures[0]
-    # instances after the first failure cannot change what is raised
-    active = np.arange(count) < min(failures, default=count)
-    axes = np.broadcast_to(
-        np.stack([power_axis_grid(cap, grid0) for cap in caps]), (count, 2 * t_dims, grid0)
-    )
+    # the instances still refining, in order, each with its axes of this
+    # level; instances after the first failure cannot change what is raised
+    idx = np.arange(min(failures, default=count))
+    pt_axis, pr_axis = (power_axis_grid(cap, grid0) for cap in (config.pt_max, config.pr_max))
+    axes = np.broadcast_to([pt_axis] * t_dims + [pr_axis] * t_dims, (len(idx), 2 * t_dims, grid0))
     fresh = np.ones(axes.shape, dtype=bool)
     best_total = np.full(count, np.inf)
     best_vec = np.zeros((count, 2 * t_dims))
     evaluations, levels, stops = [0] * count, [0] * count, [""] * count
     level = 0
-    while active.any():
-        idx = np.flatnonzero(active)
-        points = fresh[idx].sum(axis=2)
+    while len(idx):
+        points = fresh.sum(axis=2)
         for i, sizes in zip(idx.tolist(), (points[:, :t_dims] * points[:, t_dims:]).tolist()):
             cells = math.prod(sizes)
             if evaluations[i] + cells > max_evaluations:
                 failures[i] = _budget_error(level, cells, max_evaluations, evaluations[i])
             else:
                 evaluations[i] += cells
-        if failures:
-            active[min(failures):] = False
-            idx = np.flatnonzero(active)
+        if failures and idx[-1] >= min(failures):
+            keep = idx < min(failures)
+            idx, axes, fresh = idx[keep], axes[keep], fresh[keep]
             if len(idx) == 0:
                 break
 
-        total, vec = _scan(samples[idx], config, axes[idx], fresh[idx], margin)
-        better = total < best_total[idx]
-        for r in np.flatnonzero(total == best_total[idx]).tolist():
-            better[r] = tuple(vec[r]) < tuple(best_vec[idx[r]])
-        best_total[idx[better]] = total[better]
-        best_vec[idx[better]] = vec[better]
-        if not np.isfinite(best_total[idx]).all():  # pragma: no cover - caps cell is on level 0
+        # after level 0 the incumbent is a cell of the level (its bracket is
+        # centred on it), so the scan's answer never totals more and, on a
+        # tied total, is never lexicographically greater: it takes over
+        total, vec = _scan(samples[idx], config, axes, fresh, margin)
+        if not total.max() < np.inf:  # pragma: no cover - caps cell is on level 0
             raise NumericConsistencyError(
                 "no feasible grid cell although the power caps passed the gate"
             )
+        best_total[idx], best_vec[idx] = total, vec
 
-        stop = np.full(len(idx), "", dtype=object)
-        if max_levels is not None and level >= max_levels:
-            stop[:] = "max_levels"
-        else:
-            if level > 0:
-                spacings = [2.0 * cap * shrink**level / (refine_points - 1) for cap in caps]
-                targets = delta * np.maximum(best_vec[idx], delta * cap_arr)
-                stop[(np.array(spacings) <= targets).all(axis=1)] = "resolution"
-            if level >= _HARD_LEVEL_CAP:
-                stop[stop == ""] = "level_cap"
-        for i, reason in zip(idx.tolist(), stop.tolist()):
+        capped = max_levels is not None and level >= max_levels
+        resolved = [False] * len(idx)
+        if level > 0 and not capped:
+            spacings = 2.0 * cap_arr * shrink**level / (refine_points - 1)
+            resolved = (spacings <= delta * np.maximum(vec, delta * cap_arr)).all(axis=1).tolist()
+        going = []
+        for i, done in zip(idx.tolist(), resolved):
+            reason = ("max_levels" if capped else "resolution" if done
+                      else "level_cap" if level >= _HARD_LEVEL_CAP else "")
             if reason:
                 stops[i], levels[i] = reason, level
-        active[idx[stop != ""]] = False
+            going.append(not reason)
 
         level += 1
-        going = idx[stop == ""]
-        axes = np.zeros((count, 2 * t_dims, refine_points))
-        axes[going] = np.clip(
-            best_vec[going][:, :, None] + spans * shrink**level, 0.0, cap_arr[:, None]
-        )
+        idx, vec = idx[going], vec[going]
+        axes = np.clip(vec[:, :, None] + spans * shrink**level, 0.0, cap_arr[:, None])
         fresh = np.ones(axes.shape, dtype=bool)
         fresh[..., 1:] = axes[..., 1:] != axes[..., :-1]
     if failures:

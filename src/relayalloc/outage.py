@@ -142,7 +142,9 @@ def _phi(mu1, mu2, eta1, eta2, pt, pr, s: float) -> np.ndarray:
     zero) and the bracket is 0, so Phi is exactly 1; the Bessel factor runs
     on the kept entries only, each with the same arithmetic either way. An
     infinite z (A overflows when the powers are tiny) gets a 0 bracket too:
-    its limit is 1, and xk1e(inf) * e^-inf would give inf * 0 = NaN.
+    its limit is 1, and xk1e(inf) * e^-inf would give inf * 0 = NaN. A NaN A
+    (extreme statistics: s eta2 and mu1 mu2 pt pr both overflow, or both
+    underflow) is computed again on those entries by ``_scaled_quotient``.
     """
     on = True
     every = (np.minimum.reduce(pt, axis=None, initial=np.inf) > 0.0
@@ -150,7 +152,8 @@ def _phi(mu1, mu2, eta1, eta2, pt, pr, s: float) -> np.ndarray:
     if not every:
         on = np.greater(pt, 0.0) & np.greater(pr, 0.0)
         pt, pr = np.where(on, pt, 1.0), np.where(on, pr, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):  # tiny powers: A is inf, Phi is 1
+    # tiny powers: A is inf, Phi is 1; extreme statistics: A is inf / inf or 0 / 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         b = s * eta1 / (mu1 * pt)
         a = s * eta2 / (mu1 * mu2 * pt * pr)
     z = 2.0 * np.sqrt(a)
@@ -158,12 +161,34 @@ def _phi(mu1, mu2, eta1, eta2, pt, pr, s: float) -> np.ndarray:
     greatest = np.maximum.reduce(flat, initial=0.0)
     if every and greatest < np.inf:  # a NaN fails too: z is finite and >= 0, xk1e's checks pass
         bracket = _xk1e(flat, np.minimum.reduce(flat, initial=np.inf), greatest)
-    else:  # a NaN z is kept, so xk1e refuses it
+    else:
+        if np.isnan(greatest):  # a NaN statistic stays NaN
+            lost = np.isnan(z)
+            z = np.array(z)
+            z[lost] = 2.0 * np.sqrt(_scaled_quotient((s, eta2), (mu1, mu2, pt, pr), lost))
+            flat = z.reshape(-1)
+        # a NaN z is kept, so xk1e refuses it
         keep = (np.broadcast_to(on, z.shape) & (z != np.inf)).reshape(-1)
         bracket = np.zeros(flat.shape)
         bracket[keep] = xk1e(flat[keep])
     out = 1.0 - bracket.reshape(z.shape) * np.exp(-(z + b))
     return _clamp_probability(out).reshape(np.shape(a))
+
+
+def _scaled_quotient(num, den, where) -> np.ndarray:
+    """prod(num) / prod(den), each product folded left to right, at the
+    ``where`` entries of the factors' broadcast shape. The products run on
+    frexp mantissas, in [0.5, 1), with the binary exponents summed apart, so
+    each rounding is the plain expression's but nothing on the way
+    overflows or underflows."""
+    top, bottom, exp = 1.0, 1.0, 0
+    for x in num:
+        mantissa, e = np.frexp(np.broadcast_to(x, where.shape)[where])
+        top, exp = top * mantissa, exp + e
+    for x in den:
+        mantissa, e = np.frexp(np.broadcast_to(x, where.shape)[where])
+        bottom, exp = bottom * mantissa, exp - e
+    return np.ldexp(top / bottom, exp)
 
 
 def _block_outage(samples, vec, s: float, patterns) -> np.ndarray:

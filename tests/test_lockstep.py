@@ -11,6 +11,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relayalloc import (
     BudgetExceededError,
@@ -147,6 +149,55 @@ def test_three_averaged_subcarriers_solve_like_the_reference():
         got = solve(stats_from_sample(v), config, 1e-2, grid0=4, refine_points=3)
         assert (got.allocation.as_vector(), got.total_power, got.achieved_outage,
                 got.evaluations, got.levels) == (vec, total, outage, evaluations, levels)
+
+
+def test_the_papers_shape_matches_the_reference():
+    # sap-averaged n = 4, t = 2: four activation patterns over four
+    # subcarriers, 3^8 = 6,561 cells per level
+    config = SystemConfig(n=4, t=2, outage_mode="sap-averaged")
+    assert len(_patterns(config)) == 4
+    samples, _ = draw_feasible_samples(6, 0.5, 5.0, config, seed=92)
+    assert_matches_reference(samples, config, grid0=3, refine_points=3)
+
+
+@st.composite
+def _scan_cases(draw):
+    """Instances of one scan: axes share one spacing, so many totals tie
+    exactly, and brackets clip at 0 and at the cap, so values repeat. Pr
+    axes nudged one ulp up make pair costs that differ by less than the
+    tie margin."""
+    cols, count = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    mode = draw(st.sampled_from(["single-sap", "sap-averaged"]))
+    t = cols if mode == "single-sap" else draw(st.integers(1, cols))
+    config = SystemConfig(n=cols, t=t, psi_th=draw(st.floats(0.05, 1.0)), pt_max=8.0,
+                          pr_max=8.0, outage_mode=mode)
+    spacing, points = draw(st.sampled_from([0.25, 0.5, 1.0])), draw(st.sampled_from([3, 5]))
+    centers = draw(st.lists(st.integers(0, int(8.0 / spacing)), min_size=count * 2 * cols,
+                            max_size=count * 2 * cols))
+    offsets = spacing * (np.arange(points) - points // 2)
+    axes = np.clip(np.reshape(centers, (count, 2 * cols, 1)) * spacing + offsets, 0.0, 8.0)
+    if draw(st.booleans()):
+        axes[:, cols:] = np.nextafter(axes[:, cols:], np.inf)
+    fresh = np.ones(axes.shape, dtype=bool)
+    fresh[..., 1:] = axes[..., 1:] != axes[..., :-1]
+    stats = draw(st.lists(st.floats(0.5, 5.0), min_size=count * 4 * cols,
+                          max_size=count * 4 * cols))
+    samples = np.reshape(stats, (count, 4, cols))
+    if draw(st.booleans()):  # alike subcarriers: more ties
+        samples[:] = samples[:, :, :1]
+    return samples, config, axes, fresh
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_scan_cases())
+def test_scan_matches_the_full_product_grid_bitwise(case):
+    samples, config, axes, fresh = case
+    cols = samples.shape[2]
+    totals, vectors = gridsearch._scan(samples, config, axes, fresh, _tie_margin(config, cols))
+    for stats, axis, total, vec in zip(samples, axes, totals.tolist(), vectors.tolist()):
+        unique = [np.unique(a) for a in axis]
+        found = _reference_scan(stats, config, unique[:cols], unique[cols:])
+        assert (total, tuple(vec)) == (found if found else (np.inf, (0.0,) * 2 * cols))
 
 
 def test_identical_and_permuted_subcarriers_match_the_reference():

@@ -227,6 +227,21 @@ def test_powers_too_small_for_a_finite_z_raise_no_warning():
     assert grid.tolist() == [1.0, 1.0, ordinary, 1.0]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_statistics_that_make_a_inf_over_inf_or_zero_over_zero_keep_its_value():
+    # s eta2 and mu1 mu2 pt pr both overflow (or both underflow), yet
+    # A = b = 1, as for unit statistics at unit powers and threshold
+    unit = float(outage_grid(UNIT, 1.0, 1.0, 1.0))
+    assert unit == pytest.approx(0.8970924351167735, rel=1e-15, abs=0.0)
+    for big, s in ((1e200, 1e200), (1e-200, 1e-200)):
+        extreme = SubcarrierStats(big, big, 1.0, big)
+        assert float(outage_grid(extreme, 1.0, 1.0, s)) == pytest.approx(unit, rel=1e-15, abs=0.0)
+        # a zero power still means certain outage, alone or among others
+        assert outage_grid(extreme, 0.0, 1.0, s) == 1.0
+        grid = outage_grid(extreme, [0.0, 1.0, 10.0], [1.0, 1.0, 0.0], s)
+        assert grid.tolist() == [1.0, float(outage_grid(extreme, 1.0, 1.0, s)), 1.0]
+
+
 # Hypothesis properties. The block outage is monotone in every power in
 # exact arithmetic; the computed value may rise by rounding alone, which
 # stays at a few units in the last place of a probability.

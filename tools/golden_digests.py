@@ -1,6 +1,6 @@
 """Golden digests of the CLI pipeline and of the loaders' refusals.
 
-Runs 18 CLI invocations (gen-data, train, eval, solve, sweep, and five
+Runs 19 CLI invocations (gen-data, train, eval, solve, sweep, and five
 refused ones: an unknown flag, a negative seed, a negative validation count,
 zero workers and a mismatched validation set) and 21 evals of corrupt
 datasets and models in a fresh directory, each as its own ``python -m
@@ -49,6 +49,9 @@ PIPELINE = [
                "--out", "solve.json"]),
     ("solve_sapavg", ["solve", *SAP, "--stats", "2,2,1,1", "--stats", "4,3,1,2",
                       "--out", "solve2.json"]),
+    ("solve_t3", ["solve", "--active", "3", "--grid0", "4", "--refine-points", "3",
+                  "--stats", "1,2,0.5,0.7", "--stats", "3,2.5,1,1", "--stats", "2,1.5,0.8,1.2",
+                  "--out", "solve3.json"]),
     ("unknown_flag", ["gen-data", "--grid_0", "5"]),
     ("sweep", ["sweep", *SMALL, "--grid", "2,4", "--repeats", "1", "--train-count", "8",
                "--validation-count", "4", "--epochs", "3", "--batch-size", "4"]),
