@@ -404,9 +404,7 @@ def _cmd_eval(opts: dict, args: argparse.Namespace) -> tuple | None:
     params, norm = load_model(opts["model"])
     dataset = load_dataset(opts["data"])
     stored = normalization_for(dataset)
-    if (stored.range_hi, stored.pt_max, stored.pr_max) != (
-        norm.range_hi, norm.pt_max, norm.pr_max
-    ):
+    if stored != norm:
         raise InvalidArgumentError(
             "model and dataset disagree on normalization "
             f"(model {norm}, dataset {stored})"

@@ -13,9 +13,10 @@ and label re-checks take one batched outage call per dataset.
 
 A ``Dataset`` stores its records and builds, once, the read-only column
 views that the loader's checks, training and evaluation read instead. The
-loader checks a clean file a column at a time and hands the columns it
-read to the ``Dataset``; a faulty file is read again a line at a time, so
-that the first faulty line is named.
+loader has one reader of record lines, ``_read_columns``: it reads a file
+a column at a time and hands the columns it read to the ``Dataset``, and
+on a faulty file it reads the lines one at a time, so that the first
+faulty line is named.
 """
 
 from __future__ import annotations
@@ -318,13 +319,13 @@ def save_dataset(dataset: Dataset, path: str) -> None:
 def load_dataset(path: str) -> Dataset:
     """Parse and re-validate; raises SchemaError / InvariantViolationError.
 
-    A clean file is read a column at a time (``_read_columns``). On any
-    fault the records are read again a line at a time (``_read_lines``),
-    up to the first structural fault (not JSON, a wrong type or shape),
-    which that reader names. ``_check_records`` checks the records read; a
-    fault it finds, on an earlier line, is raised in place of the
-    structural one. Faults name their line in the file, blank lines
-    counted."""
+    The records are read a column at a time (``_read_columns``). When that
+    read fails, the same reader reads the lines one at a time up to the
+    first that fails alone (not JSON, a wrong type or shape): its fault is
+    the structural one, and the lines before it are read as one.
+    ``_check_records`` checks the records read; a fault it finds, on an
+    earlier line, is raised in place of the structural one. Faults name
+    their line in the file, blank lines counted."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -338,10 +339,18 @@ def load_dataset(path: str) -> Dataset:
                                       f"file has {len(linenos)}")
     body = [lines[i - 1] for i in linenos]
     try:
-        dataset, fault = _read_columns(body, config, gen), None
-    except MALFORMED:
-        records, fault = _read_lines(body, linenos, config, path)
-        dataset = Dataset(config=config, gen=gen, records=records)
+        dataset, fault = _read_columns(list(map(json.loads, body)), config, gen, path), None
+    except (*MALFORMED, InvariantViolationError):
+        for good, (lineno, ln) in enumerate(zip(linenos, body)):
+            where = f"{path}:{lineno}"
+            try:
+                read_json(ln, where, "record", lambda doc: _read_columns([doc], config, gen, where))
+            except (SchemaError, InvariantViolationError) as exc:
+                fault = exc
+                break
+        if not good:
+            raise fault
+        dataset = _read_columns(list(map(json.loads, body[:good])), config, gen, path)
     _check_records(dataset, path, linenos)
     if fault is not None:
         raise fault
@@ -356,82 +365,49 @@ def _read_header(doc: dict) -> tuple[SystemConfig, GenerationSpec]:
     return config, gen
 
 
-def _read_columns(body: list[str], config: SystemConfig, gen: GenerationSpec) -> Dataset:
-    """The records that the lines ``body`` hold, with one array per field as
-    the column views. Each line is parsed alone, as ``_read_lines`` does: a
-    parse of the lines joined into one JSON array would also take a record
-    broken over two lines. Types and shapes are checked a column at a time
-    by the rule of ``_files``; a fault raises one of ``MALFORMED``."""
-    docs = list(map(json.loads, body))
-    if any(type(doc) is not dict for doc in docs):
-        raise TypeError("a record is not a JSON object")
-    n, cols = len(docs), config.cols
+def _read_columns(docs: list, config: SystemConfig, gen: GenerationSpec, where: str) -> Dataset:
+    """The records of the JSON values ``docs``, with one array per field as
+    the column views. Types are checked a column at a time by the rule of
+    ``_files``, then the labels' powers, then the shapes: a value that is
+    not an object (it cannot be indexed by a field name), a wrong type or a
+    wrong power raises one of ``MALFORMED``, a sample of the wrong shape or
+    a label of the wrong length raises InvariantViolationError, its message
+    starting ``where: ``."""
+    cols = config.cols
     samples = numbers([doc["v"] for doc in docs], 3)
     pt, pr = (numbers([doc[key] for doc in docs], 2) for key in ("pt", "pr"))
-    if samples.shape != (n, 4, cols) or pt.shape != (n, cols) or pr.shape != (n, cols):
-        raise ValueError("a record has the wrong shape")
-    labels = np.concatenate((pt, pr), axis=1)
+    allocations = [PowerAllocation(pt=tuple(row_pt), pr=tuple(row_pr))
+                   for row_pt, row_pr in zip(pt.tolist(), pr.tolist())]
     totals = numbers([doc["total_power"] for doc in docs], 1)
     outages = numbers([doc["achieved_outage"] for doc in docs], 1).tolist()
     evaluations = numbers([doc["evaluations"] for doc in docs], 1, "int").tolist()
+    if samples.shape[1:] != (4, cols):
+        raise InvariantViolationError(f"{where}: sample shape {samples.shape[1:]} != (4, {cols})")
+    if pt.shape[1] != cols:
+        raise InvariantViolationError(f"{where}: label length {pt.shape[1]} != {cols}")
+    labels = np.concatenate((pt, pr), axis=1)
     for column in (samples, labels, totals):
         column.flags.writeable = False  # before the records take views of them
-    records = tuple(
-        DatasetRecord(sample, PowerAllocation(pt=tuple(row[:cols]), pr=tuple(row[cols:])),
-                      total, outage, evals)
-        for sample, row, total, outage, evals
-        in zip(samples, labels.tolist(), totals.tolist(), outages, evaluations)
-    )
+    records = tuple(map(DatasetRecord, samples, allocations, totals.tolist(), outages,
+                        evaluations))
     dataset = Dataset(config=config, gen=gen, records=records)
     dataset.__dict__["_columns"] = (samples, labels, totals)  # fills the cached property
     return dataset
 
 
-def _read_lines(body: list[str], linenos: list[int], config: SystemConfig,
-                path: str) -> tuple[tuple[DatasetRecord, ...], Exception | None]:
-    """The records before the first structural fault, read a line at a
-    time, and that fault (None without one)."""
-    records = []
-    for lineno, ln in zip(linenos, body):
-        try:
-            records.append(_read_record(ln, config, f"{path}:{lineno}"))
-        except (SchemaError, InvariantViolationError) as exc:
-            return tuple(records), exc
-    return tuple(records), None
-
-
-def _read_record(ln: str, config: SystemConfig, where: str) -> DatasetRecord:
-    """Parse one record and check its JSON types and shapes."""
-    rec = read_json(ln, where, "record", _record)
-    if rec.sample.shape != (4, config.cols):
-        raise InvariantViolationError(f"{where}: sample shape {rec.sample.shape} != (4, {config.cols})")
-    if len(rec.label.pt) != config.cols:
-        raise InvariantViolationError(f"{where}: label length {len(rec.label.pt)} != {config.cols}")
-    return rec
-
-
-def _record(doc: dict) -> DatasetRecord:
-    sample = numbers(doc["v"], 2)
-    label = PowerAllocation(pt=tuple(numbers(doc["pt"], 1).tolist()),
-                            pr=tuple(numbers(doc["pr"], 1).tolist()))
-    names = ("total_power", "achieved_outage", "evaluations")
-    scalars = typed(DatasetRecord, {name: doc[name] for name in names})
-    return DatasetRecord(sample, label, float(scalars["total_power"]),
-                         float(scalars["achieved_outage"]), scalars["evaluations"])
-
-
 def _check_records(dataset: Dataset, path: str, linenos: list[int]) -> None:
     """Every record invariant past types and shapes, in record order, in one
     pass over the column views with one outage call: samples inside the
-    header's range, labels within the caps, statistics finite and > 0, then
-    the outage re-check, the outage cap and the label total. Record i is
-    on line ``linenos[i]`` of the file."""
+    header's range, labels within the caps, statistics finite and > 0, at
+    least one evaluation, then the outage re-check, the outage cap and the
+    label total. Record i is on line ``linenos[i]`` of the file."""
     config, gen, records = dataset.config, dataset.gen, dataset.records
     samples, labels = dataset.samples, dataset.labels
     escapes = ((samples < gen.range_lo) | (samples > gen.range_hi)).any(axis=(1, 2))
     over_caps = (labels > np.repeat([config.pt_max, config.pr_max], config.cols)).any(axis=1)
     ok = np.isfinite(samples) & (samples > 0)
-    faults = escapes | over_caps | ~ok.all(axis=(1, 2))
+    unsearched = np.array([rec.evaluations for rec in records]) < 1
+    faults = escapes | over_caps | ~ok.all(axis=(1, 2)) | unsearched
     first = int(np.argmax(faults)) if faults.any() else len(records)
     outages = _outage(samples[:first], labels[:first], config).tolist()
     for lineno, rec, outage, total in zip(
@@ -452,6 +428,8 @@ def _check_records(dataset: Dataset, path: str, linenos: list[int]) -> None:
             fault = f"sample entries escape [{gen.range_lo}, {gen.range_hi}]"
         elif over_caps[first]:
             fault = "label exceeds the power caps"
-        else:
+        elif not ok[first].all():
             fault = f"channel statistics must be finite and > 0, got {samples[first][~ok[first]][0]}"
+        else:
+            fault = f"evaluations must be >= 1, got {records[first].evaluations}"
         raise InvariantViolationError(f"{path}:{linenos[first]}: {fault}")

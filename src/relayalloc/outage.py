@@ -144,7 +144,10 @@ def _phi(mu1, mu2, eta1, eta2, pt, pr, s: float) -> np.ndarray:
     infinite z (A overflows when the powers are tiny) gets a 0 bracket too:
     its limit is 1, and xk1e(inf) * e^-inf would give inf * 0 = NaN. A NaN A
     (extreme statistics: s eta2 and mu1 mu2 pt pr both overflow, or both
-    underflow) is computed again on those entries by ``_scaled_quotient``.
+    underflow) is computed again on those entries by ``_scaled_quotient``,
+    and so is a NaN b = s eta1 / (mu1 pt) (s eta1 and mu1 pt both overflow,
+    or both underflow), once the clamp has refused the NaN Phi it makes:
+    that way the clean path makes no test of b.
     """
     on = True
     every = (np.minimum.reduce(pt, axis=None, initial=np.inf) > 0.0
@@ -171,6 +174,13 @@ def _phi(mu1, mu2, eta1, eta2, pt, pr, s: float) -> np.ndarray:
         keep = (np.broadcast_to(on, z.shape) & (z != np.inf)).reshape(-1)
         bracket = np.zeros(flat.shape)
         bracket[keep] = xk1e(flat[keep])
+    out = 1.0 - bracket.reshape(z.shape) * np.exp(-(z + b))
+    try:
+        return _clamp_probability(out).reshape(np.shape(a))
+    except NumericConsistencyError:
+        lost = np.isnan(b)
+        b = np.array(b)
+        b[lost] = _scaled_quotient((s, eta1), (mu1, pt), lost)
     out = 1.0 - bracket.reshape(z.shape) * np.exp(-(z + b))
     return _clamp_probability(out).reshape(np.shape(a))
 

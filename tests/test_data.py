@@ -661,35 +661,27 @@ def test_load_names_the_file_line_after_blank_lines(tmp_path, edits, exc, messag
         load_dataset(str(bad))
 
 
-def test_a_clean_file_is_read_a_column_at_a_time(tmp_path, monkeypatch):
+def test_a_clean_file_makes_one_column_read(tmp_path, monkeypatch):
     lines = open(corrupt_records(tmp_path, {})).read().splitlines()
     path = tmp_path / "clean.jsonl"
     path.write_text("\n".join([*lines[:3], "", *lines[3:]]) + "\n")
-    calls, read_record = [], relayalloc.data._read_record
+    calls, read_columns = [], relayalloc.data._read_columns
 
-    def counted(ln, config, where):
-        calls.append(where)
-        return read_record(ln, config, where)
+    def counted(docs, *args):
+        calls.append(len(docs))
+        return read_columns(docs, *args)
 
-    monkeypatch.setattr("relayalloc.data._read_record", counted)
-    by_columns = load_dataset(str(path))
-    assert calls == []
-
-    def refused(*args):
-        raise ValueError("read a line at a time")
-
-    monkeypatch.setattr("relayalloc.data._read_columns", refused)
-    by_lines = load_dataset(str(path))
-    assert calls == [f"{path}:{lineno}" for lineno in (2, 3, 5, 6)]
-    assert (by_columns.config, by_columns.gen) == (by_lines.config, by_lines.gen)
-    assert len(by_columns) == len(by_lines) == 4
-    assert all(records_equal(x, y) for x, y in zip(by_columns.records, by_lines.records))
+    monkeypatch.setattr("relayalloc.data._read_columns", counted)
+    dataset = load_dataset(str(path))
+    assert calls == [4]
+    # the columns read are those the records would build
+    built = Dataset(dataset.config, dataset.gen, dataset.records)
     for name in ("samples", "labels", "totals"):
-        ours, reference = getattr(by_columns, name), getattr(by_lines, name)
+        ours, reference = getattr(dataset, name), getattr(built, name)
         assert (ours.dtype, ours.shape) == (reference.dtype, reference.shape)
         assert ours.tobytes() == reference.tobytes()
-        assert not ours.flags.writeable and not reference.flags.writeable
-    assert not any(rec.sample.flags.writeable for rec in by_columns.records)
+        assert not ours.flags.writeable
+    assert not any(rec.sample.flags.writeable for rec in dataset.records)
 
 
 def test_a_record_broken_over_two_lines_is_refused(tmp_path):
@@ -706,19 +698,20 @@ def test_a_record_broken_over_two_lines_is_refused(tmp_path):
         load_dataset(str(bad))
 
 
-def load_outcome(path, by_lines):
-    """What load_dataset gives: the exception, or the records and columns."""
-    with pytest.MonkeyPatch.context() as patch:
-        if by_lines:
-            patch.setattr("relayalloc.data._read_columns", lambda *args: {}["read by lines"])
-        try:
-            dataset = load_dataset(path)
-        except (SchemaError, InvariantViolationError) as exc:
-            return type(exc), str(exc)
-    records = [(r.sample.tobytes(), r.label, r.total_power, r.achieved_outage, r.evaluations)
-               for r in dataset.records]
-    return records, [(c.shape, c.tobytes()) for c in (dataset.samples, dataset.labels,
-                                                      dataset.totals)]
+def load_outcome(lines, path, lineno):
+    """What load_dataset gives for a file of ``lines`` whose record on line
+    ``lineno`` may be corrupt: the exception's type and its message past
+    ``path:lineno: ``, or that record and its rows of the column views."""
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        dataset = load_dataset(str(path))
+    except (SchemaError, InvariantViolationError) as exc:
+        prefix = f"{path}:{lineno}: "
+        assert str(exc).startswith(prefix)
+        return type(exc), str(exc)[len(prefix):]
+    r, i = dataset.records[lineno - 2], lineno - 2
+    return (r.sample.tobytes(), r.label, r.total_power, r.achieved_outage, r.evaluations,
+            dataset.samples[i].tobytes(), dataset.labels[i].tobytes(), dataset.totals[i])
 
 
 @settings(max_examples=200, deadline=None)
@@ -729,27 +722,57 @@ def load_outcome(path, by_lines):
                     st.text(max_size=3), st.lists(st.floats(0.5, 5.0), max_size=3)),
     record=st.integers(0, 2),
 )
-def test_the_column_reader_agrees_with_the_line_reader(saved_split_lines, tmp_path_factory,
-                                                       field, value, record):
-    lines = list(saved_split_lines)
-    lines[1 + record] = replace_field(lines[1 + record], field, value)
-    path = tmp_path_factory.getbasetemp() / "either_reader.jsonl"
-    path.write_text("\n".join(lines) + "\n")
-    assert load_outcome(str(path), False) == load_outcome(str(path), True)
+def test_a_corrupt_record_reads_the_same_among_clean_records_and_alone(
+        saved_split_lines, tmp_path_factory, field, value, record):
+    corrupt = replace_field(saved_split_lines[1 + record], field, value)
+    among = list(saved_split_lines)
+    among[1 + record] = corrupt
+    alone = [replace_field(saved_split_lines[0], "generation.count", 1), corrupt]
+    base = tmp_path_factory.getbasetemp()
+    assert (load_outcome(among, base / "among.jsonl", 2 + record)
+            == load_outcome(alone, base / "alone.jsonl", 2))
 
 
-def test_the_column_reader_takes_integers_as_the_line_reader_does(tmp_path):
-    # integer JSON numbers where floats are stored load as the same floats
+def test_integer_numbers_load_as_the_same_floats(tmp_path):
     v = np.array([[1.0], [2.0], [1.0], [1.0]])
     oracle = solve(stats_from_sample(v), CFG, 1e-2, **SOLVER)
     record = DatasetRecord(v, oracle.allocation, oracle.total_power, oracle.achieved_outage,
                            oracle.evaluations)
-    path = tmp_path / "integers.jsonl"
+    path = tmp_path / "floats.jsonl"
     save_dataset(Dataset(CFG, GenerationSpec("uniform", 0.5, 5.0, 1, 0, 1e-2), (record,)),
                  str(path))
     header, line = path.read_text().splitlines()
-    path.write_text(header + "\n" + replace_field(line, "v", [[1], [2], [1], [1]]) + "\n")
-    by_columns = load_outcome(str(path), False)
-    assert by_columns == load_outcome(str(path), True)
-    records, _ = by_columns
-    assert records[0][0] == v.tobytes()
+    integers = tmp_path / "integers.jsonl"
+    integers.write_text(header + "\n" + replace_field(line, "v", [[1], [2], [1], [1]]) + "\n")
+    by_floats, by_integers = load_dataset(str(path)), load_dataset(str(integers))
+    assert records_equal(by_integers.records[0], by_floats.records[0])
+    assert by_integers.records[0].sample.tobytes() == v.tobytes()
+    for name in ("samples", "labels", "totals"):
+        ours, reference = getattr(by_integers, name), getattr(by_floats, name)
+        assert (ours.dtype, ours.tobytes()) == (reference.dtype, reference.tobytes())
+
+
+@pytest.mark.parametrize(
+    "edits, exc, message",
+    [
+        # no int64 holds these counts
+        ({3: ("evaluations", 10**30)}, SchemaError, ":3: malformed record"),
+        ({3: ("evaluations", -(2**64))}, SchemaError, ":3: malformed record"),
+        # a search makes at least one evaluation; faults are raised in record order
+        ({3: ("evaluations", 0)}, InvariantViolationError, ":3: evaluations must be >= 1, got 0"),
+        ({4: ("evaluations", -5)}, InvariantViolationError, ":4: evaluations must be >= 1, got -5"),
+        ({2: ("total_power", 1.0), 3: ("evaluations", 0)}, InvariantViolationError,
+         ":2: stored total_power"),
+        ({3: ("evaluations", 0), 4: ("total_power", 1.0)}, InvariantViolationError,
+         ":3: evaluations must be >= 1"),
+        # shape faults, alone in a file or among clean records
+        ({3: ("v", [[1.0, 1.0]] * 4)}, InvariantViolationError,
+         ":3: sample shape (4, 2) != (4, 1)"),
+        ({5: ("v", [[1.0]] * 3)}, InvariantViolationError, ":5: sample shape (3, 1) != (4, 1)"),
+        ({4: ("pt", [1.0, 1.0])}, SchemaError, ":4: malformed record: pt and pr must have equal"),
+    ],
+)
+def test_load_refuses_evaluation_counts_and_shapes(tmp_path, edits, exc, message):
+    path = corrupt_records(tmp_path, edits)
+    with pytest.raises(exc, match=f"^{re.escape(path + message)}"):
+        load_dataset(path)

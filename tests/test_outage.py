@@ -242,6 +242,21 @@ def test_statistics_that_make_a_inf_over_inf_or_zero_over_zero_keep_its_value():
         assert grid.tolist() == [1.0, float(outage_grid(extreme, 1.0, 1.0, s)), 1.0]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_statistics_that_make_b_inf_over_inf_or_zero_over_zero_keep_its_value():
+    # s eta1 and mu1 pt both overflow: b = 1 and A = 1e-200, as below
+    big = SubcarrierStats(1e200, 1.0, 1e200, 1.0)
+    expected = float(outage_grid(SubcarrierStats(1.0, 1.0, 1.0, 1e-200), 1.0, 1.0, 1.0))
+    assert expected == 0.6321205588285577
+    assert float(outage_grid(big, 1e200, 1.0, 1e200)) == expected
+    # both underflow: b = 1 but A overflows, so Phi is 1
+    tiny = SubcarrierStats(1e-200, 1.0, 1e-200, 1.0)
+    assert float(outage_grid(tiny, 1e-200, 1.0, 1e-200)) == 1.0
+    # among other powers, a zero one included, each entry is its own call's
+    grid = outage_grid(big, [1e200, 1.0, 0.0], 1.0, 1e200)
+    assert grid.tolist() == [expected, float(outage_grid(big, 1.0, 1.0, 1e200)), 1.0]
+
+
 # Hypothesis properties. The block outage is monotone in every power in
 # exact arithmetic; the computed value may rise by rounding alone, which
 # stays at a few units in the last place of a probability.

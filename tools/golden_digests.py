@@ -2,7 +2,7 @@
 
 Runs 19 CLI invocations (gen-data, train, eval, solve, sweep, and five
 refused ones: an unknown flag, a negative seed, a negative validation count,
-zero workers and a mismatched validation set) and 21 evals of corrupt
+zero workers and a mismatched validation set) and 24 evals of corrupt
 datasets and models in a fresh directory, each as its own ``python -m
 relayalloc.cli`` process with BLAS on one thread, and prints one JSON
 object: for every invocation its exit code and the first 16 hex digits of
@@ -99,6 +99,11 @@ def _dataset_faults(lines):
         "ds_caps": [head, _edit(recs[0], "pt.0", 9999.0), *recs[1:]],
         "ds_total": [head, *recs[:5], _edit(recs[5], "total_power", 1.0), *recs[6:]],
         "ds_evaluations": [head, *recs[:2], _edit(recs[2], "evaluations", 1.5), *recs[3:]],
+        "ds_evaluations_huge": [head, *recs[:2], _edit(recs[2], "evaluations", 10**30),
+                                *recs[3:]],
+        "ds_evaluations_zero": [head, *recs[:2], _edit(recs[2], "evaluations", 0), *recs[3:]],
+        "ds_label_length": [head, *recs[:4],
+                            _edit(_edit(recs[4], "pt", [1.0] * 3), "pr", [1.0] * 3), *recs[5:]],
         "ds_blank_total": [head, recs[0], "", "  ", _edit(recs[1], "total_power", 1.0),
                            *recs[2:]],
     }
