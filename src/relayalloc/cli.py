@@ -560,8 +560,11 @@ def main(argv: list[str] | None = None) -> int:
     except (NonFiniteLossError, NumericConsistencyError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 5
-    except BudgetExceededError as exc:
-        print(f"search budget exceeded: {exc}", file=sys.stderr)
+    except BudgetExceededError as exc:  # only solve takes the search's options
+        way_out = ("raise --max-evaluations or coarsen --grid0, --refine-points"
+                   if args.command == "solve"
+                   else "samples of fewer subcarriers fit the default grids")
+        print(f"search budget exceeded: {exc}; {way_out}", file=sys.stderr)
         return 6
 
 

@@ -43,10 +43,10 @@ from .gridsearch import (
     STOP_REASONS,
     PowerAllocation,
     SystemConfig,
-    _check_first_grid,
     _outage,
     _outage_at_caps,
     _row_totals,
+    _search_options,
     _solve_many,
 )
 # Not called here; perfbench/layers.py traces these names.
@@ -138,8 +138,7 @@ def _check_range(range_lo: float, range_hi: float) -> None:
 def generate_grid_samples(levels: int, range_lo: float, range_hi: float, cols: int) -> np.ndarray:
     """Full lattice with ``levels`` values per entry: (levels^(4 cols), 4, cols)."""
     _check_range(range_lo, range_hi)
-    if levels < 2:
-        raise InvalidArgumentError(f"levels must be >= 2, got {levels}")
+    check_integer("levels", levels, 2)
     axis = np.linspace(float(range_lo), float(range_hi), levels)
     # row r's entries are r's base-``levels`` digits, the last running fastest
     digits = np.indices((levels,) * (4 * cols), dtype=np.min_scalar_type(levels))
@@ -237,10 +236,10 @@ def build_dataset(
     solver_kwargs: dict | None = None,
     progress=None,
 ) -> Dataset:
-    """The gen-data orchestration: refuse a worker count below 1 and an
-    over-budget level-0 grid, then draw and label."""
+    """The gen-data orchestration: refuse a worker count below 1 and any
+    search option ``solve`` would refuse, then draw and label."""
     check_integer("workers", workers, 1)
-    _check_first_grid(config, **(solver_kwargs or {}))
+    _search_options(config, delta, solver_kwargs or {})
     if sampler == "uniform":
         samples, rejected = draw_feasible_samples(count, range_lo, range_hi, config, seed)
         grid_levels = None

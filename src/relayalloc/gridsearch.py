@@ -28,10 +28,10 @@ once (``_solve_batch``). Each level is one scan of every instance still
 refining; each instance stops on its own, when its axes reach the
 resolution, at the caller's ``max_levels`` or at the hard cap of 64
 levels, and ``OracleResult.stop_reason`` says which. ``solve`` is the
-one-instance call; ``_solve_many``, the many-sample entry, owns chunking,
-the worker pool and the failure order, and ``_check_first_grid`` refuses
-an over-budget level-0 grid up front. An instance's result is bitwise the
-same alone or in any chunk.
+one-instance call of ``_solve_many``, the one entry: it checks every search
+option, the level-0 budget included, once before any sample, and owns
+chunking, the worker pool and the failure order. An instance's result is
+bitwise the same alone or in any chunk.
 
 Tie-breaking: among feasible grid points of equal total power, the
 lexicographically smallest vector (pt_1..pt_T, pr_1..pr_T) wins. Both
@@ -88,6 +88,7 @@ from .errors import (
     InvalidArgumentError,
     NumericConsistencyError,
     check_finite,
+    check_integer,
 )
 from .outage import SubcarrierStats, _block_outage, _combine, _phi
 # Not called here; perfbench/layers.py traces outage calls through these names.
@@ -209,8 +210,7 @@ def _check_cols(count: int, config: SystemConfig) -> None:
 
 def _budget_error(level: int, cells: int, max_evaluations: int, used: int) -> BudgetExceededError:
     return BudgetExceededError(f"level {level} needs {cells} evaluations, exceeding the cap "
-                               f"of {max_evaluations} (used {used}); raise max_evaluations "
-                               f"or coarsen the grids")
+                               f"of {max_evaluations} (used {used})")
 
 
 def _stats_matrix(stats, config: SystemConfig) -> np.ndarray:
@@ -416,23 +416,39 @@ def solve(
     delta * cap). ``max_levels=0`` restricts the search to the level-0
     grid, which makes the result comparable bitwise with
     ``brute_force_reference`` at the same grid size. This is the
-    one-instance call of the lock-step search, ``_solve_batch``.
+    one-instance call of ``_solve_many``, the search's one entry.
     """
-    return _solve_batch(
+    return _solve_many(
         _stats_matrix(stats, config)[None], config, delta, grid0=grid0,
         refine_points=refine_points, shrink=shrink, max_levels=max_levels,
         max_evaluations=max_evaluations,
     )[0]
 
 
-def _search_options(options: dict) -> dict:
-    """``solve``'s keyword options, its defaults filled in; a key that
-    ``solve`` does not take is refused."""
+def _search_options(config: SystemConfig, delta: float, options: dict) -> dict:
+    """``solve``'s keyword options, its defaults filled in, each checked, and
+    the level-0 grid checked against ``max_evaluations``: the one check of
+    the search's options, made before any sample is searched."""
     unknown = sorted(set(options) - set(solve.__kwdefaults__))
     if unknown:
         raise InvalidArgumentError(f"unknown search option(s): {', '.join(unknown)}; "
                                    f"solve takes {', '.join(solve.__kwdefaults__)}")
-    return {**solve.__kwdefaults__, **options}
+    options = {**solve.__kwdefaults__, **options}
+    for name, value in (("delta", delta), ("shrink", options["shrink"])):
+        if not (0 < value < 1):
+            raise InvalidArgumentError(f"{name} must be in (0, 1), got {value!r}")
+    check_integer("grid0", options["grid0"], 2)
+    check_integer("refine_points", options["refine_points"], 3)
+    if options["refine_points"] % 2 == 0:
+        raise InvalidArgumentError(f"refine_points must be odd so brackets keep their center, "
+                                   f"got {options['refine_points']}")
+    if options["max_levels"] is not None:
+        check_integer("max_levels", options["max_levels"], 0)
+    check_integer("max_evaluations", options["max_evaluations"], 1)
+    cells = evaluation_budget(config.cols, options["grid0"], options["refine_points"], 0)
+    if cells > options["max_evaluations"]:
+        raise _budget_error(0, cells, options["max_evaluations"], 0)
+    return options
 
 
 def _batch_size(cols: int, grid0: int, refine_points: int) -> int:
@@ -440,26 +456,19 @@ def _batch_size(cols: int, grid0: int, refine_points: int) -> int:
     return max(1, _PAIR_BUDGET // (cols * max(grid0, refine_points) ** 2))
 
 
-def _check_first_grid(config: SystemConfig, **options) -> None:
-    """Raise the search's own error, before any sample exists, when the
-    level-0 grid of ``solve``'s options alone crosses ``max_evaluations``."""
-    options = _search_options(options)
-    cells = evaluation_budget(config.cols, options["grid0"], options["refine_points"], 0)
-    if cells > options["max_evaluations"]:
-        raise _budget_error(0, cells, options["max_evaluations"], 0)
-
-
 def _solve_many(samples: np.ndarray, config: SystemConfig, delta: float, *, workers: int = 1,
                 progress=None, **options) -> list[OracleResult]:
     """``solve`` for each (4, cols) matrix of a (N, 4, cols) float array, in
     order: ``_solve_batch`` on chunks of ``_batch_size``, in a pool of
-    ``workers`` processes when more than one. A failure raises the first
-    failing sample's error, an invalid statistic's included (only the rows
-    before it are searched); ``progress(done, total)`` runs once per chunk."""
-    if samples.ndim != 3 or samples.shape[1] != 4:
-        raise InvalidArgumentError(f"expected samples shaped (count, 4, cols), got {samples.shape}")
+    ``workers`` processes when more than one. An option error comes before
+    any sample's; then a failure raises the first failing sample's error, an
+    invalid statistic's included (only the rows before it are searched);
+    ``progress(done, total)`` runs once per chunk."""
+    if samples.ndim != 3 or samples.shape[1] != 4 or len(samples) == 0:
+        raise InvalidArgumentError(
+            f"expected samples shaped (count >= 1, 4, cols), got {samples.shape}")
     _check_cols(samples.shape[2], config)
-    options = _search_options(options)
+    options = _search_options(config, delta, options)
     invalid = np.flatnonzero(~(np.isfinite(samples) & (samples > 0)).all(axis=(1, 2)))
     valid = int(invalid[0]) if len(invalid) else len(samples)
     size = _batch_size(samples.shape[2], options["grid0"], options["refine_points"])
@@ -491,26 +500,15 @@ def _solve_batch(
     max_levels: int | None,
     max_evaluations: int,
 ) -> list[OracleResult]:
-    """``solve`` for each (4, cols) matrix of a (B, 4, cols) stack of valid
-    statistics, all instances in lock-step: each level is one ``_scan`` of
-    every instance still refining.
+    """``solve`` for each (4, cols) matrix of a non-empty (B, 4, cols) stack
+    of valid statistics under checked options, all instances in lock-step:
+    each level is one ``_scan`` of every instance still refining.
 
     Each result is bitwise the one-instance result. If instances fail,
     this raises what the first failing one (in input order) raises alone;
     instances after it stop early, since they cannot change that.
     """
     count, _, t_dims = samples.shape
-    if count == 0:
-        return []
-    if not (0 < delta < 1):
-        raise InvalidArgumentError(f"delta must be in (0, 1), got {delta!r}")
-    if refine_points < 3 or refine_points % 2 == 0:
-        raise InvalidArgumentError(
-            f"refine_points must be odd and >= 3 so brackets keep their center, "
-            f"got {refine_points}"
-        )
-    if not (0 < shrink < 1):
-        raise InvalidArgumentError(f"shrink must be in (0, 1), got {shrink!r}")
     caps = [config.pt_max] * t_dims + [config.pr_max] * t_dims
     cap_arr = np.array(caps, dtype=float)
     offsets = np.linspace(-1.0, 1.0, refine_points)
@@ -518,8 +516,6 @@ def _solve_batch(
     margin = _tie_margin(config, t_dims)
 
     failures = _gate_failures(samples, config)
-    if 0 in failures:  # before the grid is built, as for one instance
-        raise failures[0]
     # the instances still refining, in order, each with its axes of this
     # level; instances after the first failure cannot change what is raised
     idx = np.arange(min(failures, default=count))

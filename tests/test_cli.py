@@ -1,6 +1,7 @@
 import base64
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -16,7 +17,7 @@ from relayalloc import (
     normalization_for,
     save_model,
 )
-from relayalloc.cli import build_parser, main
+from relayalloc.cli import _COMMANDS, build_parser, main
 from relayalloc.gridsearch import _batch_size
 
 SMALL_SYSTEM = ["--subcarriers", "2", "--active", "1", "--mod-order", "2"]
@@ -145,10 +146,14 @@ def test_manifest_options_replay_as_config(tmp_path):
     assert result.read_bytes() == result2.read_bytes()
 
 
-def test_config_file_rejects_bad_json(tmp_path):
+def test_config_file_rejects_bad_json(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text("{ nope")
     assert main(["gen-data", "--config", str(cfg)]) == 2
+    cfg.write_text("[1, 2]")
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d.jsonl")]) == 2
+    assert f"{cfg}: expected a JSON object" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_usage_errors_exit_2(capsys):
@@ -207,11 +212,28 @@ def test_infeasible_solve_exits_3(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_solve_without_out_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", *SMALL_SYSTEM, "--stats", "1,1,1,1"]) == 0
+    assert "total power:" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_grid_sampler_with_no_feasible_lattice_point_exits_3(tmp_path, capsys):
+    assert main(gen_args(tmp_path / "d.jsonl", extra=(
+        "--sampler", "grid", "--grid-levels", "2", "--pt-max", "1e-6", "--pr-max", "1e-6"))) == 3
+    assert "infeasible: no lattice point is feasible" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_file_exits_4(tmp_path, capsys):
     assert main(["train", "--data", str(tmp_path / "absent.jsonl")]) == 4
     assert main(["eval", "--model", str(tmp_path / "absent.json"),
                  "--data", str(tmp_path / "absent.jsonl")]) == 4
     bad = tmp_path / "bad.jsonl"
+    bad.write_text("")
+    assert main(["train", "--data", str(bad)]) == 4
+    assert f"file error: {bad}: empty file" in capsys.readouterr().err
     bad.write_text("{ nope\n")
     assert main(["train", "--data", str(bad)]) == 4
     good = tmp_path / "good.jsonl"
@@ -316,6 +338,21 @@ def test_search_budget_exceeded_exits_6(tmp_path, capsys, args):
     assert "search budget exceeded: level 0 needs" in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["gen-data", "--outage-mode", "sap-averaged", "--count", "2", "--out"],
+    ["sweep", "--outage-mode", "sap-averaged", "--grid", "4", "--repeats", "1", "--out-dir"],
+    ["solve", "--max-evaluations", "10", "--stats", "1,1,1,1", "--stats", "2,2,1,1", "--out"],
+])
+def test_the_budget_message_names_only_options_the_command_has(tmp_path, capsys, args):
+    assert main([*args, str(tmp_path / "out")]) == 6
+    err = capsys.readouterr().err
+    options = {command: {o.name for o in opts} for command, _, opts, _ in _COMMANDS}
+    for name in set().union(*options.values()) - options[args[0]]:
+        for word in (name, "--" + name.replace("_", "-")):
+            assert not re.search(rf"(?<![\w-]){word}(?![\w-])", err), word
+    assert ("--max-evaluations" in err) == (args[0] == "solve")
 
 
 def test_numeric_failure_exits_5(tmp_path, monkeypatch):

@@ -132,7 +132,7 @@ def test_build_dataset_is_deterministic():
 
 def test_parallel_labeling_matches_sequential():
     # two full chunks and a short one; progress is reported once per chunk
-    options = _search_options(SOLVER)
+    options = _search_options(CFG, 1e-2, SOLVER)
     size = _batch_size(CFG.t, options["grid0"], options["refine_points"])
     samples = uniform_samples(2 * size + 3, 1, seed=37)
     calls = {1: [], 2: []}
@@ -406,6 +406,37 @@ def test_build_dataset_refuses_unknown_search_options_before_sampling(monkeypatc
                       solver_kwargs={"grid_0": 5, "x": 1, "grid0": 5})
     with pytest.raises(InvalidArgumentError, match="grid_0"):
         label_dataset(np.full((1, 4, 1), 1.0), CFG, 1e-2, solver_kwargs={"grid_0": 5})
+
+
+@pytest.mark.parametrize("sampler", ["uniform", "grid"])
+@pytest.mark.parametrize("delta, solver_kwargs, message", [
+    (2.0, {}, r"delta must be in \(0, 1\), got 2.0"),
+    (1e-2, {"refine_points": 8}, "refine_points must be odd"),
+    (1e-2, {"shrink": 1.0}, r"shrink must be in \(0, 1\), got 1.0"),
+    (1e-2, {"grid0": 1}, "grid0 must be >= 2, got 1"),
+])
+def test_build_dataset_refuses_bad_search_options_before_sampling(monkeypatch, sampler, delta,
+                                                                  solver_kwargs, message):
+    def never(*args, **kwargs):
+        raise AssertionError("sampled before the search options were checked")
+
+    monkeypatch.setattr("relayalloc.data.draw_feasible_samples", never)
+    monkeypatch.setattr("relayalloc.data.generate_grid_samples", never)
+    with pytest.raises(InvalidArgumentError, match=message):
+        build_dataset(SystemConfig(), 3, 0.5, 5.0, 1, delta, sampler=sampler, grid_levels=3,
+                      solver_kwargs=solver_kwargs)
+
+
+def test_grid_levels_must_be_an_integer_of_at_least_2():
+    with pytest.raises(InvalidArgumentError, match="levels must be an integer, got 2.5"):
+        generate_grid_samples(2.5, 0.5, 5.0, 1)
+    with pytest.raises(InvalidArgumentError, match="levels must be >= 2, got 1"):
+        generate_grid_samples(1, 0.5, 5.0, 1)
+
+
+def test_labeling_refuses_zero_samples():
+    with pytest.raises(InvalidArgumentError, match=r"got \(0, 4, 2\)"):
+        label_dataset(np.empty((0, 4, 2)), SystemConfig(), 1e-2)
 
 
 @pytest.mark.parametrize("workers", [0, -2])

@@ -235,6 +235,21 @@ def test_parameter_validation():
     assert [SystemConfig(m=m).m for m in (2, 8, 64)] == [2, 8, 64]
 
 
+@pytest.mark.parametrize("option, message", [
+    ({"grid0": 2.5}, "grid0 must be an integer, got 2.5"),
+    ({"grid0": 1}, "grid0 must be >= 2, got 1"),
+    ({"refine_points": 9.0}, "refine_points must be an integer, got 9.0"),
+    ({"refine_points": 1}, "refine_points must be >= 3, got 1"),
+    ({"max_levels": -1}, "max_levels must be >= 0, got -1"),
+    ({"max_levels": 1.5}, "max_levels must be an integer, got 1.5"),
+    ({"max_evaluations": 0}, "max_evaluations must be >= 1, got 0"),
+    ({"max_evaluations": -5}, "max_evaluations must be >= 1, got -5"),
+])
+def test_every_search_option_is_checked(option, message):
+    with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+        solve([UNIT, UNIT], SystemConfig(), 1e-2, **option)
+
+
 def test_total_power_association_is_pairwise():
     # totals fold as (pt1 + pr1) + (pt2 + pr2); pinning the association
     # keeps scan totals and reported totals bitwise comparable

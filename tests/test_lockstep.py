@@ -326,15 +326,30 @@ def test_mixed_failures_raise_what_sequential_labeling_raises(workers):
         assert str(info.value) == str(expected), name
 
 
-def test_the_gate_precedes_the_grid_check_as_one_at_a_time():
-    # grid0=1 is refused when the grid is built, after the sample's gate
+@pytest.mark.parametrize("delta, option, kind", [
+    (2.0, {}, InvalidArgumentError),
+    (1e-2, {"grid0": 1}, InvalidArgumentError),
+    (1e-2, {"refine_points": 8}, InvalidArgumentError),
+    (1e-2, {"shrink": 1.0}, InvalidArgumentError),
+    (1e-2, {"max_levels": -1}, InvalidArgumentError),
+    (1e-2, {"max_evaluations": 12**4 - 1}, BudgetExceededError),  # the level-0 grid alone
+])
+def test_an_option_error_precedes_every_sample_error(delta, option, kind):
+    # under a budget of exactly the level-0 grid, a feasible sample overruns
+    # at level 1; the option error comes first, alone and in labeling
     ok = draw_feasible_samples(1, 0.5, 5.0, T2, seed=87)[0][0]
-    assert not feasibility_check(stats_from_sample(INFEASIBLE), T2).feasible
-    for batch, kind in (([INFEASIBLE, ok], InfeasibleProblemError),
-                        ([ok, INFEASIBLE], InvalidArgumentError)):
+    options = {"max_evaluations": 12**4, **option}
+    assert type(_sequential_error(ok[None], T2, max_evaluations=12**4)) is BudgetExceededError
+    assert type(_sequential_error(INFEASIBLE[None], T2)) is InfeasibleProblemError
+    with pytest.raises(kind) as alone:
+        solve(stats_from_sample(ok), T2, delta, **options)
+    invalid = np.full((4, 2), np.nan)
+    for batch in ([ok], [INFEASIBLE, ok], [ok, INFEASIBLE], [invalid, INFEASIBLE, ok]):
         samples = np.stack(batch)
-        expected = _sequential_error(samples, T2, grid0=1)
-        assert type(expected) is kind
+        if batch[0] is not invalid:  # solve takes statistics valid by construction
+            with pytest.raises(kind) as first:
+                solve(stats_from_sample(samples[0]), T2, delta, **options)
+            assert str(first.value) == str(alone.value)
         with pytest.raises(kind) as info:
-            label_dataset(samples, T2, 1e-2, solver_kwargs={"grid0": 1})
-        assert str(info.value) == str(expected)
+            label_dataset(samples, T2, delta, solver_kwargs=options)
+        assert str(info.value) == str(alone.value)

@@ -258,6 +258,18 @@ def test_comparison_gap_sign_convention():
     )
 
 
+def test_comparison_gap_against_a_zero_label():
+    # psi_th = 1 lets every allocation through, so every label is all zeros
+    dataset = build_dataset(replace(CFG, psi_th=1.0), 3, 0.5, 5.0, 313, 1e-2,
+                            solver_kwargs=SOLVER)
+    assert dataset.totals.tolist() == [0.0] * 3
+    # sigmoid(-50) is exactly 0: a zero network total ties the zero label
+    silent = compare_against_labels(constant_model(-50.0), dataset)
+    assert [r.gap for r in silent.rows] == [0.0] * 3
+    report = compare_against_labels(constant_model(), dataset)
+    assert [r.gap for r in report.rows] == [math.inf] * 3 and report.mean_gap == math.inf
+
+
 def test_history_csv_round_trip(tmp_path):
     history = TrainingHistory(
         points=[

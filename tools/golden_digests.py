@@ -1,8 +1,9 @@
 """Golden digests of the CLI pipeline and of the loaders' refusals.
 
-Runs 19 CLI invocations (gen-data, train, eval, solve, sweep, and five
+Runs 22 CLI invocations (gen-data, train, eval, solve, sweep, and eight
 refused ones: an unknown flag, a negative seed, a negative validation count,
-zero workers and a mismatched validation set) and 24 evals of corrupt
+zero workers, a mismatched validation set, an over-budget shape, a delta
+outside (0, 1) and a first grid of one point) and 24 evals of corrupt
 datasets and models in a fresh directory, each as its own ``python -m
 relayalloc.cli`` process with BLAS on one thread, and prints one JSON
 object: for every invocation its exit code and the first 16 hex digits of
@@ -63,6 +64,11 @@ PIPELINE = [
                                      "narrow.jsonl", "--epochs", "3",
                                      "--model-out", "refused_model.json",
                                      "--history-out", "refused_history.csv"]),
+    ("gen_budget", ["gen-data", "--outage-mode", "sap-averaged", "--count", "2",
+                    "--out", "refused.jsonl"]),
+    ("gen_bad_delta", ["gen-data", "--count", "2", "--delta", "2", "--out", "refused.jsonl"]),
+    ("solve_grid0", ["solve", "--grid0", "1", "--stats", "1,2,0.5,0.7", "--stats", "3,2.5,1,1",
+                     "--out", "refused.json"]),
 ]
 
 
